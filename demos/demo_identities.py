@@ -6,7 +6,7 @@ with exact rational arithmetic and knows nothing about divided-power bases, so
 agreement is strong evidence the symbolic side is right.
 """
 from hyperweyl import CoeffAlgebra, build_root_datum, get_oracle, verify_identity
-from hyperweyl.cli import SweepLimits, identity_cases
+from hyperweyl.hyper import SweepLimits, identity_cases
 
 datum = build_root_datum("A", 2)
 algebra = CoeffAlgebra("poly", 1)

@@ -2,23 +2,21 @@
 
 Exit codes: 0 success / all checks pass, 1 at least one verification failure,
 2 usage or input error, 3 result not stabilized and --allow-unstable absent.
-Set HYPERWEYL_THREADS to run sweep cases on a thread pool; output order stays
-deterministic either way (cases are generated and printed in sorted order).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .coeffalg import CoeffAlgebra
 from .hyper import (
     IDENTITY_IDS,
+    SweepLimits,
     collect,
     format_monomial,
+    hyper_to_json,
+    identity_cases,
     lambda_poly,
     verify_identity,
 )
@@ -74,121 +72,7 @@ def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _thread_count():
-    raw = os.environ.get("HYPERWEYL_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # -- identity sweeps ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepLimits:
-    rmax: int = 3
-    smax: int = 3
-    kmax: int = 3
-    lmax: int = 3
-    adeg: int = 3
-    count: int = 100
-    seed: int = 0
-
-
-def identity_cases(o, which, lim):
-    """Deterministic parameter sweep for one identity id over one oracle.
-
-    Cases come out sorted by their parameter tuples so reruns and parallel
-    runs print in the same order.
-    """
-    A, d = o.algebra, o.datum
-    roots = range(len(d.pos_roots))
-    nodes = range(d.rank)
-    mons = sorted(A.monomials_up_to_deg(lim.adeg))
-    nonunit = [b for b in mons if b != A.unit()]
-    cases = []
-    if which == "basicrel":
-        for alpha in roots:
-            for a in mons:
-                for b in mons:
-                    for s in range(1, lim.smax + 1):
-                        for r in range(1, min(s, lim.rmax) + 1):
-                            cases.append({"alpha": alpha, "a": a, "b": b,
-                                          "r": r, "s": s})
-    elif which == "commutrels1":
-        # [g2,g1] = -[g1,g2], so unordered pairs suffice for the degree bound
-        sides = [(alpha, sign, a, k)
-                 for alpha in roots for sign in "+-"
-                 for a in mons for k in range(1, lim.kmax + 1)]
-        for left in sides:
-            for right in sides:
-                if left > right:
-                    continue
-                alpha, s1, a, k = left
-                beta, s2, b, l = right
-                if alpha == beta and s1 != s2:
-                    continue  # rank-one opposite pair is basicrel territory
-                if l > lim.lmax:
-                    continue
-                cases.append({"alpha": alpha, "beta": beta, "sign1": s1,
-                              "sign2": s2, "a": a, "b": b, "k": k, "l": l})
-    elif which == "commutrels2":
-        for alpha in roots:
-            for k in range(1, lim.kmax + 1):
-                for l in range(1, lim.lmax + 1):
-                    cases.append({"alpha": alpha, "k": k, "l": l})
-    elif which == "commutrels3":
-        for i in nodes:
-            for alpha in roots:
-                for sign in "+-":
-                    for a in mons:
-                        for k in range(1, lim.kmax + 1):
-                            for l in range(1, lim.lmax + 1):
-                                cases.append({"i": i, "alpha": alpha,
-                                              "sign": sign, "a": a,
-                                              "k": k, "l": l})
-    elif which == "commutrels4":
-        for alpha in roots:
-            for sign in "+-":
-                for a in mons:
-                    for k in range(1, lim.kmax + 1):
-                        for l in range(1, lim.lmax + 1):
-                            cases.append({"alpha": alpha, "sign": sign,
-                                          "a": a, "k": k, "l": l})
-    elif which == "commutrels5":
-        for alpha in roots:
-            for a in mons:
-                for b in mons:
-                    for r in range(1, lim.rmax + 1):
-                        for k in range(1, lim.kmax + 1):
-                            cases.append({"alpha": alpha, "a": a, "b": b,
-                                          "r": r, "k": k})
-    elif which == "a_k_reduction":
-        for i in nodes:
-            for a in nonunit:
-                for k in range(1, lim.kmax + 1):
-                    for r in range(1, lim.rmax + 1):
-                        cases.append({"i": i, "a": a, "k": k, "r": r})
-    elif which == "gAforms_integrality":
-        cases.append({"count": lim.count, "seed": lim.seed,
-                      "max_k": min(lim.kmax, 3), "max_deg": min(lim.adeg, 2),
-                      "max_len": 3})
-    else:
-        raise UsageError(f"unknown identity id {which!r}; "
-                         f"known: {', '.join(IDENTITY_IDS)}, all")
-    return cases
-
-
-def run_sweep(o, which, cases):
-    """verify_identity over a case list; HYPERWEYL_THREADS > 1 fans out."""
-    n = _thread_count()
-    if n > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(lambda p: verify_identity(o, which, p), cases))
-    return [verify_identity(o, which, p) for p in cases]
-
 
 def _jsonable_params(params):
     return {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}
@@ -205,8 +89,8 @@ def cmd_verify(args):
     blocks = []
     total = failures = 0
     for which in ids:
-        cases = identity_cases(o, which, lim)
-        reports = run_sweep(o, which, cases)
+        reports = [verify_identity(o, which, p)
+                   for p in identity_cases(o, which, lim)]
         bad = [r for r in reports if not r["pass"]]
         total += len(reports)
         failures += len(bad)
@@ -265,6 +149,8 @@ def cmd_lambda(args):
     o = get_oracle(datum, algebra)
     if not 1 <= args.i <= datum.rank:
         raise UsageError(f"node index must be in 1..{datum.rank}")
+    if args.upto is not None and args.upto < 0:
+        raise UsageError("--upto must be >= 0")
     a = algebra.parse(args.a)
     orders = range(args.upto + 1) if args.upto is not None else [args.r]
     rows = [(r, collect(o, lambda_poly(o, args.i - 1, a, r))) for r in orders]
@@ -274,9 +160,7 @@ def cmd_lambda(args):
             "coeff": algebra.spec_string(),
             "i": args.i,
             "a": algebra.format(a),
-            "orders": [{"r": r,
-                        "element": [[format_monomial(o, m), str(h[m])]
-                                    for m in sorted(h)]}
+            "orders": [{"r": r, "element": hyper_to_json(o, h)}
                        for r, h in rows],
         })
     else:
@@ -307,7 +191,10 @@ def load_eval_table(path, algebra):
         raise UsageError(f"malformed eval table JSON: {err}")
     try:
         lam = tuple(int(x) for x in data["lambda"])
-        char = int(data.get("field", {}).get("char", 0))
+        field = data.get("field", {})
+        if not isinstance(field, dict):
+            raise TypeError("field must be an object")
+        char = int(field.get("char", 0))
         c = {}
         for entry in data.get("c", []):
             i = int(entry["i"]) - 1

@@ -17,10 +17,11 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .oracle import CARTAN, LOWER, RAISE, OracleElt
-from .scalars import vec_add_scaled
+from .oracle import LOWER, RAISE, OracleElt
+from .scalars import solve_exact
 
 F_DP, H_BINOM, L_GEN, E_DP = 0, 1, 2, 3
 
@@ -160,6 +161,19 @@ def _hvec_elt(o, hvec, b):
     return out
 
 
+def _binom_elt(o, hvec, shift, m):
+    """binom(h + shift, m) for h = sum hvec[i] h_i ⊗ 1, as an envelope element."""
+    x = _hvec_elt(o, hvec, o.algebra.unit()) + shift * o.one()
+    acc = o.one()
+    for j in range(m):
+        acc = acc * (x - j * o.one())
+    return Fraction(1, math.factorial(m)) * acc
+
+
+def _unit_hvec(o, i):
+    return tuple(1 if j == i else 0 for j in range(o.datum.rank))
+
+
 def _lambda_series_coeff(o, hvec, combo, r):
     if r < 0:
         raise ValueError("series order must be >= 0")
@@ -182,8 +196,7 @@ def lambda_poly(o, i, a, r):
 
     a is a single coefficient-algebra basis element or a dict combination.
     """
-    hvec = tuple(1 if j == i else 0 for j in range(o.datum.rank))
-    return _lambda_series_coeff(o, hvec, _as_combo(a), r)
+    return _lambda_series_coeff(o, _unit_hvec(o, i), _as_combo(a), r)
 
 
 def lambda_poly_root(o, alpha, a, r):
@@ -212,7 +225,7 @@ def lambda_power_reduction(o, i, a, k, r):
         for s in pi:
             e = e * lambda_poly(o, i, {a: 1}, s)
         cols.append(e)
-    sol = _solve_exact(o, cols, target)
+    sol = solve_exact([e.terms for e in cols], target.terms)
     out = {}
     for pi, x in zip(parts, sol):
         if x:
@@ -239,38 +252,6 @@ def _partitions(n):
 
     rec(n, 1, [])
     return out
-
-
-def _solve_exact(o, cols, target):
-    """Solve sum x_j cols[j] = target exactly; unique solution expected."""
-    words = sorted({w for e in cols for w in e.terms} | set(target.terms))
-    rows = [[e.terms.get(w, Fraction(0)) for e in cols] + [target.terms.get(w, Fraction(0))]
-            for w in words]
-    ncol = len(cols)
-    pivots = []
-    rank = 0
-    for col in range(ncol):
-        piv = next((j for j in range(rank, len(rows)) if rows[j][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for j in range(len(rows)):
-            if j != rank and rows[j][col]:
-                c = rows[j][col]
-                rows[j] = [x - c * y for x, y in zip(rows[j], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < ncol:
-        raise ValueError("reduction system is underdetermined")
-    for j in range(rank, len(rows)):
-        if rows[j][ncol]:
-            raise ValueError("reduction system is inconsistent")
-    sol = [Fraction(0)] * ncol
-    for j, col in enumerate(pivots):
-        sol[col] = rows[j][ncol]
-    return sol
 
 
 # -- lowering series --------------------------------------------------------
@@ -304,14 +285,9 @@ def expand_gen(o, g):
         letter = o.letter(LOWER if kind == F_DP else RAISE, idx, exps)
         out = OracleElt(o, {(letter,) * k: Fraction(1, math.factorial(k))})
     elif kind == H_BINOM:
-        x = o.h(idx, exps)
-        acc = o.one()
-        for j in range(k):
-            acc = acc * (x - j * o.one())
-        out = Fraction(1, math.factorial(k)) * acc
+        out = _binom_elt(o, _unit_hvec(o, idx), 0, k)
     else:
-        hvec = tuple(1 if j == idx else 0 for j in range(o.datum.rank))
-        out = _lambda_series_coeff(o, hvec, {exps: 1}, k)
+        out = _lambda_series_coeff(o, _unit_hvec(o, idx), {exps: 1}, k)
     _GEN_CACHE[key] = out
     return out
 
@@ -509,19 +485,6 @@ def hyper_from_json(o, pairs):
 
 # -- identity verification -------------------------------------------------------
 
-def _binom_elt(o, hvec, shift, m):
-    """binom(h + shift, m) for h = sum hvec[i] h_i ⊗ 1, as an envelope element."""
-    x = _hvec_elt(o, hvec, o.algebra.unit()) + shift * o.one()
-    acc = o.one()
-    for j in range(m):
-        acc = acc * (x - j * o.one())
-    return Fraction(1, math.factorial(m)) * acc
-
-
-def _unit_hvec(o, i):
-    return tuple(1 if j == i else 0 for j in range(o.datum.rank))
-
-
 def _report(o, params, lhs, rhs, residual=None):
     if residual is None:
         residual = lhs - rhs
@@ -703,11 +666,112 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
 
-def verify_identity(o, which, params):
-    """Build both sides of a named straightening identity; report the residual."""
+def _identity_checker(which):
+    """The checker of a named identity; ValueError for an unknown id."""
     fn = _IDENTITIES.get(which)
     if fn is None:
         raise ValueError(f"unknown identity id {which!r}; known: {', '.join(IDENTITY_IDS)}")
-    rep = fn(o, params)
+    return fn
+
+
+def verify_identity(o, which, params):
+    """Build both sides of a named straightening identity; report the residual."""
+    rep = _identity_checker(which)(o, params)
     rep["id"] = which
     return rep
+
+
+@dataclass(frozen=True)
+class SweepLimits:
+    """Parameter bounds of an identity sweep."""
+
+    rmax: int = 3
+    smax: int = 3
+    kmax: int = 3
+    lmax: int = 3
+    adeg: int = 3
+    count: int = 100
+    seed: int = 0
+
+
+def identity_cases(o, which, lim):
+    """Deterministic parameter sweep for one identity id over one oracle.
+
+    Cases come out sorted by their parameter tuples so reruns print in the
+    same order.
+    """
+    _identity_checker(which)
+    A, d = o.algebra, o.datum
+    roots = range(len(d.pos_roots))
+    nodes = range(d.rank)
+    mons = sorted(A.monomials_up_to_deg(lim.adeg))
+    nonunit = [b for b in mons if b != A.unit()]
+    cases = []
+    if which == "basicrel":
+        for alpha in roots:
+            for a in mons:
+                for b in mons:
+                    for s in range(1, lim.smax + 1):
+                        for r in range(1, min(s, lim.rmax) + 1):
+                            cases.append({"alpha": alpha, "a": a, "b": b,
+                                          "r": r, "s": s})
+    elif which == "commutrels1":
+        # [g2,g1] = -[g1,g2], so unordered pairs suffice for the degree bound
+        sides = [(alpha, sign, a, k)
+                 for alpha in roots for sign in "+-"
+                 for a in mons for k in range(1, lim.kmax + 1)]
+        for left in sides:
+            for right in sides:
+                if left > right:
+                    continue
+                alpha, s1, a, k = left
+                beta, s2, b, l = right
+                if alpha == beta and s1 != s2:
+                    continue  # rank-one opposite pair is basicrel territory
+                if l > lim.lmax:
+                    continue
+                cases.append({"alpha": alpha, "beta": beta, "sign1": s1,
+                              "sign2": s2, "a": a, "b": b, "k": k, "l": l})
+    elif which == "commutrels2":
+        for alpha in roots:
+            for k in range(1, lim.kmax + 1):
+                for l in range(1, lim.lmax + 1):
+                    cases.append({"alpha": alpha, "k": k, "l": l})
+    elif which == "commutrels3":
+        for i in nodes:
+            for alpha in roots:
+                for sign in "+-":
+                    for a in mons:
+                        for k in range(1, lim.kmax + 1):
+                            for l in range(1, lim.lmax + 1):
+                                cases.append({"i": i, "alpha": alpha,
+                                              "sign": sign, "a": a,
+                                              "k": k, "l": l})
+    elif which == "commutrels4":
+        for alpha in roots:
+            for sign in "+-":
+                for a in mons:
+                    for k in range(1, lim.kmax + 1):
+                        for l in range(1, lim.lmax + 1):
+                            cases.append({"alpha": alpha, "sign": sign,
+                                          "a": a, "k": k, "l": l})
+    elif which == "commutrels5":
+        for alpha in roots:
+            for a in mons:
+                for b in mons:
+                    for r in range(1, lim.rmax + 1):
+                        for k in range(1, lim.kmax + 1):
+                            cases.append({"alpha": alpha, "a": a, "b": b,
+                                          "r": r, "k": k})
+    elif which == "a_k_reduction":
+        for i in nodes:
+            for a in nonunit:
+                for k in range(1, lim.kmax + 1):
+                    for r in range(1, lim.rmax + 1):
+                        cases.append({"i": i, "a": a, "k": k, "r": r})
+    elif which == "gAforms_integrality":
+        cases.append({"count": lim.count, "seed": lim.seed,
+                      "max_k": min(lim.kmax, 3), "max_deg": min(lim.adeg, 2),
+                      "max_len": 3})
+    return cases
+

@@ -164,10 +164,6 @@ class Oracle:
     def one(self):
         return OracleElt(self, {(): Fraction(1)})
 
-    def of_word(self, word, coeff=1):
-        """The element coeff * (normal form of the product of the letters in word)."""
-        return self.nf_word(word) * Fraction(coeff)
-
     def x_plus(self, root_idx, exps):
         return OracleElt(self, {(self.letter(RAISE, root_idx, exps),): Fraction(1)})
 

@@ -12,6 +12,8 @@ import re
 from fractions import Fraction
 from functools import reduce
 
+from .scalars import solve_exact
+
 
 def _cartan_matrix(series, rank):
     n = rank
@@ -57,20 +59,6 @@ def _cartan_matrix(series, rank):
     return tuple(tuple(row) for row in a)
 
 
-def _weyl_order(series, rank):
-    if series == "A":
-        return math.factorial(rank + 1)
-    if series in ("B", "C"):
-        return 2 ** rank * math.factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if series == "G":
-        return 12
-    if series == "F":
-        return 1152
-    return {6: 51840, 7: 2903040, 8: 696729600}[rank]
-
-
 class RootDatum:
     """Positive roots, coroots and weight operations of one simple type."""
 
@@ -82,7 +70,6 @@ class RootDatum:
         self.root_index = {r: i for i, r in enumerate(self.pos_roots)}
         self._symmetrizer = self._compute_symmetrizer()
         self.coroots = tuple(self._coroot(r) for r in self.pos_roots)
-        self.weyl_order = _weyl_order(series, rank)
 
     def __repr__(self):
         return f"RootDatum({self.series}{self.rank})"
@@ -196,18 +183,9 @@ class RootDatum:
     def weight_to_root_coords(self, mu):
         """Solve mu = sum x_j alpha_j exactly; returns Fractions."""
         n = self.rank
-        aug = [[Fraction(self.cartan[i][j]) for j in range(n)] + [Fraction(mu[i])]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [inv * v for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return tuple(aug[i][n] for i in range(n))
+        cols = [{i: self.cartan[i][j] for i in range(n) if self.cartan[i][j]}
+                for j in range(n)]
+        return tuple(solve_exact(cols, {i: c for i, c in enumerate(mu) if c}))
 
     def dominance_leq(self, mu, lam):
         """True iff lam - mu is a nonnegative integer combination of simple roots."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffalg import TRIVIAL, CoeffAlgebra
+from .coeffalg import TRIVIAL
 from .hyper import (
     E_DP,
     F_DP,
@@ -26,7 +26,6 @@ from .hyper import (
     raise_dp,
 )
 from .oracle import get_oracle
-from .rootdata import RootDatum
 from .scalars import RowSpace, is_prime, rational_binomial, vec_add_scaled
 
 __all__ = [
@@ -198,9 +197,8 @@ def spanning_set(datum, lam, algebra, window=None):
 class ClosureState:
     """One closure pass: window contents and the saturated relation row spaces."""
 
-    def __init__(self, oracle, ev, base, ext, spaces):
+    def __init__(self, oracle, base, ext, spaces):
         self.oracle = oracle
-        self.ev = ev
         self.base = base
         self.base_set = frozenset(base)
         self.ext_set = frozenset(ext)
@@ -218,9 +216,6 @@ class ClosureState:
             return {}
         sp = self.spaces.get(self._drop_of(vec))
         return dict(vec) if sp is None else sp.reduce(vec)
-
-    def contains_relation(self, vec):
-        return not self.reduce(vec)
 
     def dimension_and_character(self, datum, lam):
         bcount = {}
@@ -336,7 +331,7 @@ def _closure_pass(datum, lam, algebra, ev, window, slack):
                 spaces[tot] = sp
             sp.insert(w)
 
-    return ClosureState(o, ev, base, ext, spaces)
+    return ClosureState(o, base, ext, spaces)
 
 
 @dataclass
