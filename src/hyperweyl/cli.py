@@ -68,6 +68,13 @@ def _int_tuple(text, n, what):
     return vals
 
 
+def _require_nonnegative(args, *names):
+    for name in names:
+        val = getattr(args, name)
+        if val is not None and val < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 0")
+
+
 def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -79,6 +86,7 @@ def _jsonable_params(params):
 
 
 def cmd_verify(args):
+    _require_nonnegative(args, "rmax", "smax", "kmax", "lmax", "adeg", "count")
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
     o = get_oracle(datum, algebra)
@@ -149,8 +157,7 @@ def cmd_lambda(args):
     o = get_oracle(datum, algebra)
     if not 1 <= args.i <= datum.rank:
         raise UsageError(f"node index must be in 1..{datum.rank}")
-    if args.upto is not None and args.upto < 0:
-        raise UsageError("--upto must be >= 0")
+    _require_nonnegative(args, "upto")
     a = algebra.parse(args.a)
     orders = range(args.upto + 1) if args.upto is not None else [args.r]
     rows = [(r, collect(o, lambda_poly(o, args.i - 1, a, r))) for r in orders]
@@ -297,6 +304,7 @@ def cmd_local_weyl(args):
 
 
 def cmd_basis_check(args):
+    _require_nonnegative(args, "count")
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
     o = get_oracle(datum, algebra)

@@ -5,7 +5,9 @@ divided powers, scaled by the Cartan data (binomials through the weight,
 series coefficients through a user table), and killed by (x^-_beta ⊗ 1)^(s)
 for s beyond the weight pairing.  The engine spans the quotient by pure
 lowering monomials inside a finite window, saturates the relation ideal by
-exact linear algebra, and reads off dimension and character.
+exact linear algebra, and reads off dimension and character.  Raising powers
+are only applied where their result can lie at or below the weight, and only
+the raising-free part of each product is straightened.
 
 All vectors here are dicts mapping pure-lowering monomials to scalars.
 """
@@ -23,6 +25,7 @@ from .hyper import (
     expand_monomial,
     lower_dp,
     monomial_weight_drop,
+    oracle_drop_raising,
     raise_dp,
 )
 from .oracle import get_oracle
@@ -138,8 +141,15 @@ def _evaluate_on_highest(o, ev, m):
 
 
 def apply_relations(o, v, g, ev):
-    """Value on w of g acting on the lowering monomial v, as a sparse vector."""
-    prod = collect(o, expand_gen(o, g) * expand_monomial(o, v))
+    """Value on w of g acting on the lowering monomial v, as a sparse vector.
+
+    Words with a raising letter are dropped before `collect`: in normal form
+    they are exactly the words of basis monomials with a raising factor, which
+    die on w, and `collect` never mixes them with the raising-free words.  So
+    only the surviving part is straightened, and `collect` still certifies
+    every coefficient that is kept as an integer.
+    """
+    prod = collect(o, oracle_drop_raising(expand_gen(o, g) * expand_monomial(o, v)))
     out = {}
     for m, c in prod.items():
         got = _evaluate_on_highest(o, ev, m)
@@ -289,6 +299,9 @@ def _closure_pass(datum, lam, algebra, ev, window, slack):
             continue
         core_rows.append((dr, v))
         for g in gens:
+            # E(i,b)^(rho) on a vector of drop dr lands above lam unless rho <= dr[i]
+            if g[3] > dr[g[1]]:
+                continue
             w = {}
             for m, c in v.items():
                 vec_add_scaled(w, ev_gm(g, m), c)

@@ -3,6 +3,7 @@
 Run with `pytest -v tests/test_acceptance.py`; the PASSED/FAILED line of each
 test_criterion_N is the per-criterion verdict.
 """
+import math
 import random
 import time
 
@@ -196,3 +197,30 @@ def test_criterion_7_high_loop_modes_reduce():
                 checked += 1
     elapsed = time.monotonic() - t0
     print(f"CRITERION 7: PASS ({checked}/36 memberships, {elapsed:.1f}s)")
+
+
+def chari_loktev_dimension(datum, lam):
+    r = datum.rank
+    return math.prod(math.comb(r + 1, i + 1) ** lam[i] for i in range(r))
+
+
+def test_criterion_8_chari_loktev_dimensions():
+    # graded local Weyl modules of sl_{r+1} (x) F[t] have dimension
+    # prod_i C(r+1, i)^lam_i in every characteristic (Chari-Loktev 2006,
+    # Jakelic-Moura 2007), a formula that does not come from the closure
+    t0 = time.monotonic()
+    runs = 0
+    for m in (1, 2, 3):
+        for p in CHARS:
+            res, _anchor = local_module(m, p)
+            assert res.dimension == chari_loktev_dimension(A1, (m,)), (m, p)
+            runs += 1
+    for lam in ((1, 0), (0, 1)):
+        for p in CHARS:
+            res = relation_closure(A2, lam, P1, EvalData(lam=lam, char=p))
+            assert res.stabilized, (lam, p)
+            assert res.dimension == chari_loktev_dimension(A2, lam), (lam, p)
+            runs += 1
+    elapsed = time.monotonic() - t0
+    assert elapsed < 600
+    print(f"CRITERION 8: PASS ({runs} modules, {elapsed:.1f}s)")

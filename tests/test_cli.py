@@ -66,6 +66,20 @@ def test_lambda_negative_upto(capsys):
 
 # -- verify sweeps ------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ("--id", "basicrel", "--rmax", "-1", "--smax", "-1"),
+    ("--id", "basicrel", "--smax", "-1"),
+    ("--id", "a_k_reduction", "--kmax", "-2"),
+    ("--id", "commutrels1", "--lmax", "-1"),
+    ("--id", "basicrel", "--adeg", "-1"),
+    ("--id", "gAforms_integrality", "--count", "-3"),
+])
+def test_verify_negative_bounds(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    flag = next(a for a in argv if a.startswith("--") and a != "--id")
+    assert code == EXIT_USAGE and not out and flag in err
+
+
 def test_verify_all_identities_a1(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A1")
     assert code == EXIT_OK
@@ -259,6 +273,11 @@ def test_basis_check_json(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert obj["pass"] is True and obj["failure"] == ""
+
+
+def test_basis_check_negative_count(capsys):
+    code, out, err = run(capsys, "basis-check", "--count", "-5")
+    assert code == EXIT_USAGE and not out and "--count" in err
 
 
 def test_bad_type_string(capsys):

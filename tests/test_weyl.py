@@ -2,13 +2,25 @@
 import pytest
 
 from hyperweyl.coeffalg import CoeffAlgebra, TRIVIAL
-from hyperweyl.hyper import cartan_binom, lower_dp, raise_dp
+from hyperweyl.hyper import (
+    cartan_binom,
+    collect,
+    expand_gen,
+    expand_monomial,
+    lower_dp,
+    monomial_weight_drop,
+    oracle_drop_raising,
+    quotient_drop_raising,
+    raise_dp,
+)
 from hyperweyl.oracle import get_oracle
 from hyperweyl.rootdata import build_root_datum
+from hyperweyl.scalars import vec_add_scaled
 from hyperweyl.weyl import (
     EvalData,
     Window,
     WeylModuleResult,
+    _evaluate_on_highest,
     apply_relations,
     character_check,
     default_window,
@@ -123,6 +135,37 @@ def test_apply_relations_annihilator_only_rightmost():
     assert out, "mid-monomial lowering power must not annihilate"
     out = apply_relations(o, (lower_dp(0, (), 2),), cartan_binom(0, 1, ()), ev)
     assert out == {}, "rightmost over-cap lowering power annihilates"
+
+
+@pytest.mark.parametrize("datum,lam", [(A1, (2,)), (A2, (1, 1))])
+def test_raising_shortcuts_are_exact(datum, lam):
+    # phase 1 drops raising words before collect and skips E(i,b)^(rho) on
+    # targets whose drop in coordinate i is below rho; both must be exact
+    o = get_oracle(datum, P1)
+    ev = graded(lam)
+    base = default_window(datum, lam)
+    window = Window(tuple(c + 1 for c in base.exp_caps),
+                    tuple(c + 1 for c in base.drop_cap))
+    mons = spanning_set(datum, lam, P1, window)
+    gens = [raise_dp(i, b, rho) for i in range(datum.rank)
+            for b in sorted(P1.monomials_up_to_deg(3)) for rho in range(1, 4)]
+    pruned = 0
+    for v in mons:
+        drop = monomial_weight_drop(o, v)
+        for g in gens:
+            prod = expand_gen(o, g) * expand_monomial(o, v)
+            full = collect(o, prod)
+            assert collect(o, oracle_drop_raising(prod)) == quotient_drop_raising(full)
+            on_w = {}
+            for m, c in full.items():
+                got = _evaluate_on_highest(o, ev, m)
+                if got is not None:
+                    vec_add_scaled(on_w, {got[0]: 1}, c * got[1])
+            assert apply_relations(o, v, g, ev) == on_w, (g, v)
+            if g[3] > drop[g[1]]:
+                pruned += 1
+                assert on_w == {}, (g, v)
+    assert pruned
 
 
 # -- graded local closures -----------------------------------------------------------
