@@ -68,11 +68,11 @@ def _int_tuple(text, n, what):
     return vals
 
 
-def _require_nonnegative(args, *names):
+def _require_at_least(args, least, *names):
     for name in names:
         val = getattr(args, name)
-        if val is not None and val < 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 0")
+        if val is not None and val < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
 
 
 def _emit(obj):
@@ -86,7 +86,7 @@ def _jsonable_params(params):
 
 
 def cmd_verify(args):
-    _require_nonnegative(args, "rmax", "smax", "kmax", "lmax", "adeg", "count")
+    _require_at_least(args, 0, "rmax", "smax", "kmax", "lmax", "adeg", "count")
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
     o = get_oracle(datum, algebra)
@@ -157,7 +157,7 @@ def cmd_lambda(args):
     o = get_oracle(datum, algebra)
     if not 1 <= args.i <= datum.rank:
         raise UsageError(f"node index must be in 1..{datum.rank}")
-    _require_nonnegative(args, "upto")
+    _require_at_least(args, 0, "upto")
     a = algebra.parse(args.a)
     orders = range(args.upto + 1) if args.upto is not None else [args.r]
     rows = [(r, collect(o, lambda_poly(o, args.i - 1, a, r))) for r in orders]
@@ -304,7 +304,8 @@ def cmd_local_weyl(args):
 
 
 def cmd_basis_check(args):
-    _require_nonnegative(args, "count")
+    _require_at_least(args, 0, "count", "max_deg")
+    _require_at_least(args, 1, "max_k", "max_len")
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
     o = get_oracle(datum, algebra)

@@ -110,12 +110,18 @@ def _series_mul(o, s1, s2, order):
     return out
 
 
-def _series_dp_coeff(o, s, dp, n):
-    """Coefficient of u^n in the dp-th divided power of the series s."""
+def _series_dp(o, s, dp, n):
+    """Coefficients of u^0..u^n in the dp-th divided power of the series s."""
     pw = [o.one()] + [o.zero()] * n
     for _ in range(dp):
         pw = _series_mul(o, pw, s, n)
-    return Fraction(1, math.factorial(dp)) * pw[n]
+    scale = Fraction(1, math.factorial(dp))
+    return [scale * c for c in pw]
+
+
+def _series_dp_coeff(o, s, dp, n):
+    """Coefficient of u^n in the dp-th divided power of the series s."""
+    return _series_dp(o, s, dp, n)[n]
 
 
 def _series_exp(o, s, order):
@@ -179,6 +185,10 @@ def _lambda_series_coeff(o, hvec, combo, r):
         raise ValueError("series order must be >= 0")
     if r == 0:
         return o.one()
+    key = (o, L_GEN, tuple(hvec), tuple(sorted(combo.items())), r)
+    got = _SERIES_CACHE.get(key)
+    if got is not None:
+        return got
     A = o.algebra
     pw = {A.unit(): 1}
     s = [o.zero()]
@@ -188,13 +198,16 @@ def _lambda_series_coeff(o, hvec, combo, r):
         for b, cb in pw.items():
             term = term + (-Fraction(cb, n)) * _hvec_elt(o, hvec, b)
         s.append(term)
-    return _series_exp(o, s, r)[r]
+    out = _SERIES_CACHE[key] = _series_exp(o, s, r)[r]
+    return out
 
 
 def lambda_poly(o, i, a, r):
     """Coefficient of u^r in exp(-sum_{s>=1} (h_i ⊗ a^s)/s u^s).
 
     a is a single coefficient-algebra basis element or a dict combination.
+    The result is memoized per oracle and shared between callers: do not
+    mutate it.
     """
     return _lambda_series_coeff(o, _unit_hvec(o, i), _as_combo(a), r)
 
@@ -258,20 +271,32 @@ def _partitions(n):
 
 def xminus_series_dp_coeff(o, alpha, a, b, dp, n):
     """Coefficient of u^n in the dp-th divided power of
-    sum_{j>=0} (x^-_alpha ⊗ a^j b^{j+1}) u^{j+1}."""
-    A = o.algebra
+    sum_{j>=0} (x^-_alpha ⊗ a^j b^{j+1}) u^{j+1}.
+
+    The result is memoized per oracle and shared between callers: do not
+    mutate it.
+    """
     a, b = tuple(a), tuple(b)
+    key = (o, F_DP, alpha, a, b, dp, n)
+    got = _SERIES_CACHE.get(key)
+    if got is not None:
+        return got
+    A = o.algebra
     s = [o.zero()]
     for j in range(n):
         exps = A.mul(A.pow(a, j), A.pow(b, j + 1))
         s.append(o.x_minus(alpha, exps))
-    return _series_dp_coeff(o, s, dp, n)
+    out = _SERIES_CACHE[key] = _series_dp_coeff(o, s, dp, n)
+    return out
 
 
 # -- expansion into the envelope ----------------------------------------------
 
 _GEN_CACHE = {}
 _MON_CACHE = {}
+# Λ-series and x⁻-series coefficients, keyed (oracle, L_GEN, ...) and
+# (oracle, F_DP, ...) respectively; values are shared OracleElts
+_SERIES_CACHE = {}
 
 
 def expand_gen(o, g):
@@ -578,9 +603,10 @@ def _check_commutrels5(o, p):
     A = o.algebra
     lhs = lambda_poly_root(o, alpha, a, r) * expand_gen(o, lower_dp(alpha, b, k))
     series = [(j + 1) * o.x_minus(alpha, A.mul(A.pow(a, j), b)) for j in range(r + 1)]
+    dp = _series_dp(o, series, k, r)
     rhs = o.zero()
     for s in range(r + 1):
-        rhs = rhs + _series_dp_coeff(o, series, k, r - s) * lambda_poly_root(o, alpha, a, s)
+        rhs = rhs + dp[r - s] * lambda_poly_root(o, alpha, a, s)
     return _report(o, p, lhs, rhs)
 
 
@@ -601,6 +627,10 @@ def _check_a_k_reduction(o, p):
 
 def random_gen_word(o, rng, max_k=3, max_deg=2, max_len=3):
     """A random short product of gensyms within the given size window."""
+    for name, val, least in (("max_k", max_k, 1), ("max_deg", max_deg, 0),
+                             ("max_len", max_len, 1)):
+        if val < least:
+            raise ValueError(f"{name} must be >= {least}, got {val}")
     A, d = o.algebra, o.datum
     mons = A.monomials_up_to_deg(max_deg)
     nonunit = [b for b in mons if b != A.unit()]

@@ -280,6 +280,20 @@ def test_basis_check_negative_count(capsys):
     assert code == EXIT_USAGE and not out and "--count" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("basis-check", "--count", "3", "--max-deg", "-1"), "--max-deg"),
+    (("basis-check", "--max-len", "-1"), "--max-len"),
+    (("basis-check", "--max-len", "0"), "--max-len"),
+    (("basis-check", "--max-k", "0"), "--max-k"),
+    (("basis-check", "--max-k", "-2"), "--max-k"),
+    (("verify", "--id", "gAforms_integrality", "--kmax", "0"), "max_k"),
+])
+def test_bad_word_size_bounds(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and not out
+    assert named in err and "randrange" not in err
+
+
 def test_bad_type_string(capsys):
     code, _, err = run(capsys, "weyl", "--type", "Z9", "--lambda", "1")
     assert code == EXIT_USAGE and "bad type string" in err

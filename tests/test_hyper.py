@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from hyperweyl.coeffalg import CoeffAlgebra
-from hyperweyl.oracle import get_oracle
+from hyperweyl.oracle import Oracle, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.hyper import (
     NotInZFormError,
+    SweepLimits,
+    _series_dp,
+    _series_dp_coeff,
     cartan_binom,
     collect,
     expand_gen,
@@ -20,6 +23,7 @@ from hyperweyl.hyper import (
     hyper_from_json,
     hyper_mul,
     hyper_to_json,
+    identity_cases,
     lambda_gen,
     lambda_poly,
     lambda_poly_root,
@@ -139,6 +143,58 @@ def test_xminus_series_dp_coeff():
     # dp=2, n=2: the divided square (x⊗b)^{(2)}
     got2 = xminus_series_dp_coeff(o, 0, t, (1,), 2, 2)
     assert got2 == Fraction(1, 2) * (o.x_minus(0, (1,)) * o.x_minus(0, (1,)))
+
+
+# -- series memo -------------------------------------------------------------------
+
+
+def _series_values(o):
+    """Series coefficients served by the memo, keyed by the call that made them."""
+    t1, t2, t12, unit = (1, 0), (0, 1), (1, 1), (0, 0)
+    vals = {}
+    for i in range(o.datum.rank):
+        for r in range(4):
+            vals["lambda", i, r] = lambda_poly(o, i, t1, r)
+            vals["lambda_combo", i, r] = lambda_poly(o, i, {t1: 1, t12: -2}, r)
+    for alpha in range(len(o.datum.pos_roots)):
+        for a in (t2, t12):
+            for r in range(4):
+                vals["root", alpha, a, r] = lambda_poly_root(o, alpha, a, r)
+        for a, b in ((t1, unit), (t2, t1), (unit, t12)):
+            for dp in range(4):
+                for n in range(4):
+                    vals["xminus", alpha, a, b, dp, n] = xminus_series_dp_coeff(
+                        o, alpha, a, b, dp, n)
+    return vals
+
+
+def test_series_memo_is_exact_and_unaliased():
+    o = a2_oracle()
+    cached = _series_values(o)
+    snapshot = {key: dict(e.terms) for key, e in cached.items()}
+    # a fresh oracle shares no memo key with the shared one
+    other = Oracle(o.datum, o.algebra)
+    fresh = _series_values(other)
+    assert all(e.oracle is other for e in fresh.values())
+    assert snapshot == {key: e.terms for key, e in fresh.items()}
+    lim = SweepLimits(rmax=2, smax=2, kmax=2, lmax=2, adeg=1)
+    for which in ("basicrel", "commutrels5", "a_k_reduction"):
+        for p in identity_cases(o, which, lim):
+            assert verify_identity(o, which, p)["pass"], (which, p)
+    again = _series_values(o)
+    assert all(again[key] is cached[key] for key in cached if key[-1])
+    assert {key: e.terms for key, e in cached.items()} == snapshot
+
+
+def test_series_dp_lists_every_coefficient():
+    o = a2_oracle()
+    t1, t2 = (1, 0), (0, 1)
+    s = [o.one(), o.x_minus(0, t1), 2 * o.x_minus(2, t2), o.h(1, t1) + o.x_minus(1, t2)]
+    for dp in range(4):
+        for n in range(4):
+            got = _series_dp(o, s, dp, n)
+            assert len(got) == n + 1
+            assert all(got[j] == _series_dp_coeff(o, s, dp, j) for j in range(n + 1))
 
 
 # -- collect and straighten -------------------------------------------------------
