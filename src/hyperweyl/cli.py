@@ -215,7 +215,7 @@ def load_eval_table(path, algebra):
     return EvalData(lam=lam, char=char, c=c)
 
 
-def _parse_points(text, lam, rank):
+def _parse_points(text, rank):
     groups = text.split("/")
     if len(groups) != rank:
         raise UsageError(f"points preset needs {rank} node group(s) "
@@ -292,7 +292,7 @@ def cmd_local_weyl(args):
                 raise UsageError("points preset needs --coeff poly:1")
             window = _resolve_window(datum, lam, args)
             degree = 64 + 8 * (max(window.exp_caps, default=0) + args.max_slack)
-            points = _parse_points(args.eval[len("points:"):], lam, datum.rank)
+            points = _parse_points(args.eval[len("points:"):], datum.rank)
             ev = EvalData(lam=lam, char=char,
                           c=evaluation_table(lam, points, degree))
         else:
@@ -340,7 +340,8 @@ def _add_window(sp):
     sp.add_argument("--slack", type=int, default=2,
                     help="initial window slack (default 2)")
     sp.add_argument("--max-slack", type=int, default=8,
-                    help="deepening bound for stabilization (default 8)")
+                    help="deepening bound for stabilization, at least "
+                    "--slack (default 8)")
     sp.add_argument("--exp-caps", help="per-root coefficient exponent caps, "
                     "comma list")
     sp.add_argument("--drop-cap", help="weight-drop cap in simple-root "

@@ -97,44 +97,34 @@ def monomial_weight_drop(o, m):
 
 # -- truncated u-series over envelope elements --------------------------------
 
-def _series_mul(o, s1, s2, order):
-    out = [o.zero() for _ in range(order + 1)]
-    for i, a in enumerate(s1):
-        if not a or i > order:
-            continue
-        for j, b in enumerate(s2):
-            if i + j > order:
-                break
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
 def _series_dp(o, s, dp, n):
     """Coefficients of u^0..u^n in the dp-th divided power of the series s."""
     pw = [o.one()] + [o.zero()] * n
     for _ in range(dp):
-        pw = _series_mul(o, pw, s, n)
+        nxt = [o.zero()] * (n + 1)
+        for i, a in enumerate(pw):
+            if a:
+                for j, b in enumerate(s[:n + 1 - i]):
+                    if b:
+                        nxt[i + j] = nxt[i + j] + a * b
+        pw = nxt
     scale = Fraction(1, math.factorial(dp))
     return [scale * c for c in pw]
 
 
-def _series_dp_coeff(o, s, dp, n):
-    """Coefficient of u^n in the dp-th divided power of the series s."""
-    return _series_dp(o, s, dp, n)[n]
+def _memo_series(key, n, grow):
+    """Coefficients of u^0..u^n of the series memoized under key.
 
-
-def _series_exp(o, s, order):
-    # s must have zero constant term; s^n then starts in degree n
-    out = [o.one()] + [o.zero()] * order
-    pw = [o.one()] + [o.zero()] * order
-    for n in range(1, order + 1):
-        pw = _series_mul(o, pw, s, order)
-        cn = Fraction(1, math.factorial(n))
-        for d in range(n, order + 1):
-            if pw[d]:
-                out[d] = out[d] + cn * pw[d]
-    return out
+    Each series is one list in `_SERIES_CACHE`; grow(coeffs, n) appends the
+    orders len(coeffs)..n.  A truncated coefficient does not depend on where
+    the series is cut, so a longer request only extends the list and keeps
+    the objects it already holds.  Callers share the list and its elements:
+    do not mutate them.
+    """
+    coeffs = _SERIES_CACHE.setdefault(key, [])
+    if len(coeffs) <= n:
+        grow(coeffs, n)
+    return coeffs
 
 
 # -- Cartan series coefficients ------------------------------------------------
@@ -183,23 +173,20 @@ def _unit_hvec(o, i):
 def _lambda_series_coeff(o, hvec, combo, r):
     if r < 0:
         raise ValueError("series order must be >= 0")
-    if r == 0:
-        return o.one()
-    key = (o, L_GEN, tuple(hvec), tuple(sorted(combo.items())), r)
-    got = _SERIES_CACHE.get(key)
-    if got is not None:
-        return got
-    A = o.algebra
-    pw = {A.unit(): 1}
-    s = [o.zero()]
-    for n in range(1, r + 1):
-        pw = _combo_mul(A, pw, combo)
-        term = o.zero()
-        for b, cb in pw.items():
-            term = term + (-Fraction(cb, n)) * _hvec_elt(o, hvec, b)
-        s.append(term)
-    out = _SERIES_CACHE[key] = _series_exp(o, s, r)[r]
-    return out
+
+    def grow(lam, n):
+        # Newton's identity m Λ_m = -sum_{s=1..m} x_s Λ_{m-s} with x_s = h ⊗ combo^s;
+        # the x_s are Cartan elements, so they commute with every Λ_j
+        xs, pw = [None], {o.algebra.unit(): 1}
+        for _ in range(n):
+            pw = _combo_mul(o.algebra, pw, combo)
+            xs.append(sum((c * _hvec_elt(o, hvec, b) for b, c in pw.items()), o.zero()))
+        for m in range(len(lam), n + 1):
+            terms = (xs[s] * lam[m - s] for s in range(1, m + 1))
+            lam.append(Fraction(-1, m) * sum(terms, o.zero()) if m else o.one())
+
+    key = (o, L_GEN, tuple(hvec), tuple(sorted(combo.items())))
+    return _memo_series(key, r, grow)[r]
 
 
 def lambda_poly(o, i, a, r):
@@ -277,25 +264,22 @@ def xminus_series_dp_coeff(o, alpha, a, b, dp, n):
     mutate it.
     """
     a, b = tuple(a), tuple(b)
-    key = (o, F_DP, alpha, a, b, dp, n)
-    got = _SERIES_CACHE.get(key)
-    if got is not None:
-        return got
     A = o.algebra
-    s = [o.zero()]
-    for j in range(n):
-        exps = A.mul(A.pow(a, j), A.pow(b, j + 1))
-        s.append(o.x_minus(alpha, exps))
-    out = _SERIES_CACHE[key] = _series_dp_coeff(o, s, dp, n)
-    return out
+
+    def grow(coeffs, n):
+        s = [o.zero()] + [o.x_minus(alpha, A.mul(A.pow(a, j), A.pow(b, j + 1)))
+                          for j in range(n)]
+        coeffs.extend(_series_dp(o, s, dp, n)[len(coeffs):])
+
+    return _memo_series((o, F_DP, alpha, a, b, dp), n, grow)[n]
 
 
 # -- expansion into the envelope ----------------------------------------------
 
 _GEN_CACHE = {}
 _MON_CACHE = {}
-# Λ-series and x⁻-series coefficients, keyed (oracle, L_GEN, ...) and
-# (oracle, F_DP, ...) respectively; values are shared OracleElts
+# Λ-series and x⁻-series, keyed (oracle, L_GEN, ...) and (oracle, F_DP, ...)
+# respectively, without the order; each value is one shared coefficient list
 _SERIES_CACHE = {}
 
 
@@ -510,9 +494,8 @@ def hyper_from_json(o, pairs):
 
 # -- identity verification -------------------------------------------------------
 
-def _report(o, params, lhs, rhs, residual=None):
-    if residual is None:
-        residual = lhs - rhs
+def _report(o, params, lhs, rhs):
+    residual = lhs - rhs
     return {
         "params": dict(params),
         "pass": not residual.terms,

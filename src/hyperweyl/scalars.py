@@ -6,6 +6,7 @@ coefficient in this package is computed exactly.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -152,16 +153,9 @@ def rational_binomial(n, k):
     num = 1
     for j in range(k):
         num *= n - j
-    q = Fraction(num, _factorial(k))
-    assert q.denominator == 1
-    return int(q)
-
-
-def _factorial(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+    q, rem = divmod(num, math.factorial(k))
+    assert rem == 0
+    return q
 
 
 def vec_add_scaled(acc, vec, c):

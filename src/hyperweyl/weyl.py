@@ -57,6 +57,11 @@ class Window:
     def __post_init__(self):
         if self.slack < 0:
             raise ValueError("slack must be >= 0")
+        if any(c < 0 for c in self.drop_cap):
+            raise ValueError(f"drop cap must be >= 0 in every coordinate, got {self.drop_cap}")
+        # -1 is the cap of a root whose pairing with the weight is 0
+        if any(c < -1 for c in self.exp_caps):
+            raise ValueError(f"exponent caps must be >= -1, got {self.exp_caps}")
 
 
 def default_window(datum, lam, slack=2):
@@ -381,12 +386,13 @@ def result_to_json(r):
 
 
 def relation_closure(datum, lam, algebra, eval_data=None, window=None,
-                     check_stability=True, deepen=True, max_slack=8):
+                     check_stability=True, max_slack=8):
     """Dimension and character of the windowed highest-weight quotient.
 
-    The pass at the window's slack is confirmed by a pass at slack + 1; with
-    `deepen` the slack grows until two consecutive passes agree on the
-    dimension (or max_slack is hit), so the default call self-stabilizes.
+    The pass at the window's slack is confirmed by a pass at slack + 1, and
+    the slack grows until two consecutive passes agree on the dimension (or
+    max_slack is hit), so the default call self-stabilizes.  Without
+    `check_stability` only the pass at the window's slack runs.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -400,6 +406,13 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None,
     eval_data.validate(datum, algebra)
     if window is None:
         window = default_window(datum, lam)
+    if len(window.exp_caps) != len(datum.pos_roots):
+        raise ValueError(f"exponent caps need {len(datum.pos_roots)} entries, "
+                         f"got {len(window.exp_caps)}")
+    if len(window.drop_cap) != datum.rank:
+        raise ValueError(f"drop cap needs {datum.rank} entries, got {len(window.drop_cap)}")
+    if max_slack < window.slack:
+        raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 
     slack = window.slack
     state = _closure_pass(datum, lam, algebra, eval_data, window, slack)
@@ -408,14 +421,13 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None,
     if check_stability:
         probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
         dim1, ch1 = probe.dimension_and_character(datum, lam)
-        if deepen:
-            while dim1 != dim and slack + 1 < max_slack:
-                slack += 1
-                state, dim, char_map = probe, dim1, ch1
-                probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
-                dim1, ch1 = probe.dimension_and_character(datum, lam)
+        while dim1 != dim and slack + 1 < max_slack:
+            slack += 1
+            state, dim, char_map = probe, dim1, ch1
+            probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
+            dim1, ch1 = probe.dimension_and_character(datum, lam)
         stabilized = dim1 == dim
-        if deepen and not stabilized:
+        if not stabilized:
             slack += 1
             state, dim, char_map = probe, dim1, ch1
     return WeylModuleResult(

@@ -294,6 +294,23 @@ def test_bad_word_size_bounds(capsys, argv, named):
     assert named in err and "randrange" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("weyl", "--lambda", "1", "--drop-cap", "-1"), "drop cap"),
+    (("weyl", "--lambda", "1", "--exp-caps", "-2"), "exponent caps"),
+    (("local-weyl", "--type", "A2", "--lambda", "1,0", "--exp-caps", "0,-2,0"),
+     "exponent caps"),
+    (("local-weyl", "--lambda", "2", "--drop-cap", "-2"), "drop cap"),
+    (("weyl", "--lambda", "1", "--slack", "3", "--max-slack", "1"), "max_slack"),
+    (("weyl", "--lambda", "1", "--max-slack", "-3"), "max_slack"),
+    (("local-weyl", "--lambda", "1", "--eval", "points:4", "--max-slack", "0"),
+     "max_slack"),
+])
+def test_bad_window_is_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and not out
+    assert named in err
+
+
 def test_bad_type_string(capsys):
     code, _, err = run(capsys, "weyl", "--type", "Z9", "--lambda", "1")
     assert code == EXIT_USAGE and "bad type string" in err

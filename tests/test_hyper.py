@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from hyperweyl.hyper import (
     NotInZFormError,
     SweepLimits,
     _series_dp,
-    _series_dp_coeff,
     cartan_binom,
     collect,
     expand_gen,
@@ -187,6 +187,7 @@ def test_series_memo_is_exact_and_unaliased():
 
 
 def test_series_dp_lists_every_coefficient():
+    # a truncated divided power does not depend on where it is cut
     o = a2_oracle()
     t1, t2 = (1, 0), (0, 1)
     s = [o.one(), o.x_minus(0, t1), 2 * o.x_minus(2, t2), o.h(1, t1) + o.x_minus(1, t2)]
@@ -194,7 +195,73 @@ def test_series_dp_lists_every_coefficient():
         for n in range(4):
             got = _series_dp(o, s, dp, n)
             assert len(got) == n + 1
-            assert all(got[j] == _series_dp_coeff(o, s, dp, j) for j in range(n + 1))
+            for j in range(n + 1):
+                assert got[:j + 1] == _series_dp(o, s, dp, j), (dp, n, j)
+
+
+def _series_exp_reference(o, hvec, combo, order):
+    """u^0..u^order of exp(-sum_s (h ⊗ combo^s) u^s / s): the logarithm, then exp."""
+    A = o.algebra
+
+    def mul(s1, s2):
+        out = [o.zero()] * (order + 1)
+        for i, x in enumerate(s1):
+            for j, y in enumerate(s2[:order + 1 - i]):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    log, pw = [o.zero()], {A.unit(): 1}
+    for s in range(1, order + 1):
+        nxt = {}
+        for b1, c1 in pw.items():
+            for b2, c2 in combo.items():
+                b = A.mul(b1, b2)
+                nxt[b] = nxt.get(b, 0) + c1 * c2
+        pw = nxt
+        term = o.zero()
+        for b, c in pw.items():
+            for i, hc in enumerate(hvec):
+                term = term + Fraction(-c * hc, s) * o.h(i, b)
+        log.append(term)
+    out = [o.one()] + [o.zero()] * order
+    power = list(out)
+    for n in range(1, order + 1):
+        power = mul(power, log)
+        out = [e + Fraction(1, math.factorial(n)) * x for e, x in zip(out, power)]
+    return out
+
+
+def test_lambda_series_matches_log_exp_reference():
+    o = Oracle(a2_oracle().datum, POLY2)
+    t1, t2, t12 = (1, 0), (0, 1), (1, 1)
+    combo = {t1: 1, t12: -2}
+    for i in range(o.datum.rank):
+        hvec = tuple(int(j == i) for j in range(o.datum.rank))
+        for a, as_combo in ((t1, {t1: 1}), (combo, combo)):
+            want = _series_exp_reference(o, hvec, as_combo, 5)
+            assert [lambda_poly(o, i, a, r) for r in range(6)] == want, (i, a)
+    for alpha in range(len(o.datum.pos_roots)):
+        want = _series_exp_reference(o, o.datum.coroots[alpha], {t2: 1}, 5)
+        assert [lambda_poly_root(o, alpha, t2, r) for r in range(6)] == want, alpha
+
+
+def test_series_memo_grows_in_place():
+    datum = a2_oracle().datum
+    t1, t2, t12 = (1, 0), (0, 1), (1, 1)
+    o, direct = Oracle(datum, POLY2), Oracle(datum, POLY2)
+    calls = [
+        lambda o, r: lambda_poly(o, 1, {t1: 1, t12: -2}, r),
+        lambda o, r: lambda_poly_root(o, 2, t2, r),
+        lambda o, r: xminus_series_dp_coeff(o, 2, t1, t12, 2, r),
+        lambda o, r: xminus_series_dp_coeff(o, 0, t2, (0, 0), 3, r),
+    ]
+    for call in calls:
+        low = [call(o, r) for r in range(3)]
+        top = call(o, 5)
+        assert all(call(o, r) is low[r] for r in range(3))
+        # elements of different oracles never compare equal, so compare terms
+        assert top.terms == call(direct, 5).terms
+        assert all(call(o, r).terms == call(direct, r).terms for r in range(6))
 
 
 # -- collect and straighten -------------------------------------------------------

@@ -76,6 +76,36 @@ def test_window_rejects_negative_slack():
         Window((1,), (2,), -1)
 
 
+@pytest.mark.parametrize("caps, drop", [
+    ((1,), (-1,)),          # negative drop cap
+    ((2,), (3, -2)),
+    ((-2,), (2,)),          # exponent cap below -1
+    ((0, -3, 0), (1, 1)),
+])
+def test_window_rejects_bad_caps(caps, drop):
+    with pytest.raises(ValueError, match="cap"):
+        Window(caps, drop)
+
+
+def test_window_allows_exponent_cap_minus_one():
+    # a root with pairing 0 gets cap -1: no coefficient at all
+    assert default_window(A2, (1, 0)).exp_caps == (0, -1, 0)
+
+
+@pytest.mark.parametrize("window", [Window((1, 1), (2,)), Window((1,), (2, 2)),
+                                    Window((), (2,))])
+def test_closure_rejects_window_of_wrong_length(window):
+    with pytest.raises(ValueError, match="entries"):
+        relation_closure(A1, (2,), P1, window=window)
+
+
+def test_closure_rejects_max_slack_below_slack():
+    w = default_window(A1, (1,), slack=3)
+    with pytest.raises(ValueError, match="max_slack"):
+        relation_closure(A1, (1,), P1, window=w, max_slack=2)
+    assert relation_closure(A1, (1,), P1, window=w, max_slack=3).dimension == 2
+
+
 # -- eval data ----------------------------------------------------------------------
 
 def test_eval_data_validation():
@@ -244,7 +274,7 @@ def test_dimension_nonincreasing_in_slack():
     dims = []
     for slack in (0, 1, 2, 3):
         w = default_window(A1, (2,), slack=slack)
-        r = relation_closure(A1, (2,), P1, window=w, check_stability=False, deepen=False)
+        r = relation_closure(A1, (2,), P1, window=w, check_stability=False)
         dims.append(r.dimension)
     assert dims == sorted(dims, reverse=True)
     assert dims[-1] == 4
@@ -287,7 +317,7 @@ def test_reduction_into_low_exponent_span():
     m = 2
     w = default_window(A1, (m,), slack=4)
     r = relation_closure(A1, (m,), P1, graded((m,)), window=w,
-                         check_stability=False, deepen=False)
+                         check_stability=False)
     allowed = {(lower_dp(0, (j,), 1),) for j in range(m)}
     for s in range(m, m + 3):
         red = r.state.reduce({(lower_dp(0, (s,), 1),): 1})
