@@ -16,10 +16,9 @@ print("== One raising-past-lowering case in detail ==")
 rep = verify_identity(o, "basicrel", {"alpha": 2, "a": algebra.parse("t"),
                                       "b": algebra.parse("1"), "r": 1, "s": 2})
 print(f"parameters: {rep['params']}")
-print(f"lhs = {rep['lhs']}")
-print(f"rhs = {rep['rhs']}")
 print(f"residual = {rep['residual']}   pass = {rep['pass']}")
-assert rep["pass"]
+# both sides are formatted only for a failing case
+assert rep["pass"] and "lhs" not in rep
 
 print()
 print("== Power reduction of the series coefficients at t^k ==")

@@ -225,7 +225,8 @@ def lambda_power_reduction(o, i, a, k, r):
         for s in pi:
             e = e * lambda_poly(o, i, {a: 1}, s)
         cols.append(e)
-    sol = solve_exact([e.terms for e in cols], target.terms)
+    rows = [{w: Fraction(c, e.den) for w, c in e.terms.items()} for e in cols + [target]]
+    sol = solve_exact(rows[:-1], rows[-1])
     out = {}
     for pi, x in zip(parts, sol):
         if x:
@@ -292,7 +293,7 @@ def expand_gen(o, g):
     kind, idx, exps, k = g
     if kind in (F_DP, E_DP):
         letter = o.letter(LOWER if kind == F_DP else RAISE, idx, exps)
-        out = OracleElt(o, {(letter,) * k: Fraction(1, math.factorial(k))})
+        out = OracleElt(o, {(letter,) * k: 1}, math.factorial(k))
     elif kind == H_BINOM:
         out = _binom_elt(o, _unit_hvec(o, idx), 0, k)
     else:
@@ -340,16 +341,17 @@ _LEAD_CACHE = {}
 
 
 def _leading_coeff(m):
-    """Coefficient of the longest envelope word in expand_monomial(m)."""
-    c = _LEAD_CACHE.get(m)
-    if c is None:
-        c = Fraction(1)
+    """(sign, L): the longest word of expand_monomial(m) has coefficient sign/L,
+    and L, the product of the exponents' factorials, is the expansion's den."""
+    got = _LEAD_CACHE.get(m)
+    if got is None:
+        sign, den = 1, 1
         for kind, _i, _e, k in m:
-            c /= math.factorial(k)
+            den *= math.factorial(k)
             if kind == L_GEN and k % 2:
-                c = -c
-        _LEAD_CACHE[m] = c
-    return c
+                sign = -sign
+        got = _LEAD_CACHE[m] = (sign, den)
+    return got
 
 
 def collect(o, e):
@@ -358,37 +360,39 @@ def collect(o, e):
     Greedy elimination of the longest remaining word; the subtracted basis
     expansions only produce strictly shorter corrections, so words of one
     length can be eliminated in a single descending sweep per length bucket.
+    Works on the integer numerators n over e.den = D: the expansion of the
+    basis monomial m of a word w is M/L with L the product of its factorials
+    and M[w] = sign = ±1, so the collected coefficient n[w]·L·sign/D is an
+    integer exactly when D divides n[w]·L, and subtracting it leaves the
+    numerators n - sign·n[w]·M over the same D.
     Raises NotInZFormError when a collected coefficient is not an integer.
     """
+    den = e.den
     by_len = {}
     for w, c in e.terms.items():
-        if c:
-            by_len.setdefault(len(w), {})[w] = c
+        by_len.setdefault(len(w), {})[w] = c
     out = {}
     while by_len:
         length = max(by_len)
         bucket = by_len.pop(length)
         for w in sorted(bucket, reverse=True):
-            c = bucket[w]
-            if not c:
-                continue
             m = _monomial_of_word(o, w)
-            q = c / _leading_coeff(m)
-            if q.denominator != 1:
-                raise NotInZFormError(
-                    f"coefficient {q} at {format_monomial(o, m)} is not an integer")
-            q = int(q)
-            out[m] = q
+            sign, lead = _leading_coeff(m)
+            sc = sign * bucket[w]
+            out[m], rem = divmod(sc * lead, den)
+            if rem:
+                raise NotInZFormError(f"coefficient {Fraction(sc * lead, den)} at "
+                                      f"{format_monomial(o, m)} is not an integer")
             for w2, c2 in expand_monomial(o, m).terms.items():
                 if len(w2) == length:
                     continue  # the leading word itself; cancels exactly
                 b2 = by_len.setdefault(len(w2), {})
-                nc = b2.get(w2, 0) - q * c2
+                nc = b2.get(w2, 0) - sc * c2
                 if nc:
                     b2[w2] = nc
                 else:
                     b2.pop(w2, None)
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 def straighten(o, gens):
@@ -421,7 +425,7 @@ def quotient_drop_raising(h):
 def oracle_drop_raising(e):
     """Same projection at the envelope level: drop words with raising letters."""
     return OracleElt(e.oracle, {w: c for w, c in e.terms.items()
-                                if all(l[0] != RAISE for l in w)})
+                                if all(l[0] != RAISE for l in w)}, e.den)
 
 
 # -- textual and JSON forms -----------------------------------------------------
@@ -495,14 +499,12 @@ def hyper_from_json(o, pairs):
 # -- identity verification -------------------------------------------------------
 
 def _report(o, params, lhs, rhs):
+    """Pass flag and residual; the formatted sides only when the case fails."""
     residual = lhs - rhs
-    return {
-        "params": dict(params),
-        "pass": not residual.terms,
-        "lhs": o.format_elt(lhs),
-        "rhs": o.format_elt(rhs),
-        "residual": o.format_elt(residual),
-    }
+    rep = {"params": dict(params), "pass": not residual, "residual": o.format_elt(residual)}
+    if residual:
+        rep["lhs"], rep["rhs"] = o.format_elt(lhs), o.format_elt(rhs)
+    return rep
 
 
 def _check_basicrel(o, p):
@@ -534,13 +536,10 @@ def _check_commutrels1(o, p):
     comm = expand_gen(o, g1) * expand_gen(o, g2) - expand_gen(o, g2) * expand_gen(o, g1)
     collected = collect(o, comm)
     bad = {m: c for m, c in collected.items() if monomial_degree(m) >= k + l}
-    return {
-        "params": dict(p),
-        "pass": not bad,
-        "lhs": format_hyper(o, collected),
-        "rhs": f"(root-vector degree < {k + l})",
-        "residual": format_hyper(o, bad),
-    }
+    rep = {"params": dict(p), "pass": not bad, "residual": format_hyper(o, bad)}
+    if bad:
+        rep["lhs"], rep["rhs"] = format_hyper(o, collected), f"(root-vector degree < {k + l})"
+    return rep
 
 
 def _check_commutrels2(o, p):
@@ -656,13 +655,11 @@ def _check_gAforms_integrality(o, p):
         if failure:
             failure = f"{failure} at {' '.join(format_gensym(o, g) for g in gens)}"
             break
-    return {
-        "params": dict(p),
-        "pass": not failure,
-        "lhs": f"{count} random generator products",
-        "rhs": "integer coefficients and exact round-trip",
-        "residual": failure,
-    }
+    rep = {"params": dict(p), "pass": not failure, "residual": failure}
+    if failure:
+        rep["lhs"] = f"{count} random generator products"
+        rep["rhs"] = "integer coefficients and exact round-trip"
+    return rep
 
 
 _IDENTITIES = {

@@ -13,9 +13,12 @@ lowering, then Cartan, then raising, each block by (index, graded basis order).
 Normal form is the naive rewriting x y -> y x + [x, y] applied until every
 word is weakly increasing; all structure constants are integers, so words
 carry integer coefficients and rationals enter only through divided powers.
+An element therefore stores integer numerators over one positive common
+denominator, kept in lowest terms, and every product and sum stays in integers.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 LOWER, CARTAN, RAISE = 0, 1, 2
@@ -94,13 +97,22 @@ class ChevalleyTable:
 
 
 class OracleElt:
-    """A rational linear combination of normal-ordered Lie words."""
+    """A rational linear combination of normal-ordered Lie words.
 
-    __slots__ = ("oracle", "terms")
+    `terms` maps words to nonzero integer numerators over the positive
+    denominator `den`, in lowest terms: the gcd of `den` and every numerator
+    is 1, and the zero element has `den == 1`.  The constructor takes nonzero
+    numerators over any positive `den`, reduces them and keeps the dict it
+    was given.  Equal elements have equal fields.
+    """
 
-    def __init__(self, oracle, terms):
+    __slots__ = ("oracle", "terms", "den")
+
+    def __init__(self, oracle, terms, den=1):
         self.oracle = oracle
-        self.terms = {w: c for w, c in terms.items() if c}
+        g = math.gcd(den, *terms.values()) if den != 1 else 1
+        self.terms = {w: c // g for w, c in terms.items()} if g != 1 else terms
+        self.den = den // g
 
     def _check(self, other):
         if self.oracle is not other.oracle:
@@ -108,14 +120,17 @@ class OracleElt:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
+        d1, d2 = self.den, other.den
+        den = d1 * d2 // math.gcd(d1, d2)
+        a, b = den // d1, den // d2
+        out = {w: a * c for w, c in self.terms.items()}
         for w, c in other.terms.items():
-            s = out.get(w, 0) + c
+            s = out.get(w, 0) + b * c
             if s:
                 out[w] = s
             else:
-                out.pop(w, None)
-        return OracleElt(self.oracle, out)
+                del out[w]
+        return OracleElt(self.oracle, out, den)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -124,7 +139,12 @@ class OracleElt:
         if isinstance(other, OracleElt):
             self._check(other)
             return self.oracle.mul(self, other)
-        return OracleElt(self.oracle, {w: c * other for w, c in self.terms.items()})
+        # an int or a Fraction; an int has numerator itself and denominator 1
+        num = other.numerator
+        if not num:
+            return self.oracle.zero()
+        return OracleElt(self.oracle, {w: c * num for w, c in self.terms.items()},
+                         self.den * other.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -133,7 +153,8 @@ class OracleElt:
         return (-1) * self
 
     def __eq__(self, other):
-        return isinstance(other, OracleElt) and self.oracle is other.oracle and self.terms == other.terms
+        return (isinstance(other, OracleElt) and self.oracle is other.oracle
+                and self.den == other.den and self.terms == other.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -162,16 +183,16 @@ class Oracle:
         return OracleElt(self, {})
 
     def one(self):
-        return OracleElt(self, {(): Fraction(1)})
+        return OracleElt(self, {(): 1})
 
     def x_plus(self, root_idx, exps):
-        return OracleElt(self, {(self.letter(RAISE, root_idx, exps),): Fraction(1)})
+        return OracleElt(self, {(self.letter(RAISE, root_idx, exps),): 1})
 
     def x_minus(self, root_idx, exps):
-        return OracleElt(self, {(self.letter(LOWER, root_idx, exps),): Fraction(1)})
+        return OracleElt(self, {(self.letter(LOWER, root_idx, exps),): 1})
 
     def h(self, node, exps):
-        return OracleElt(self, {(self.letter(CARTAN, node, exps),): Fraction(1)})
+        return OracleElt(self, {(self.letter(CARTAN, node, exps),): 1})
 
     # -- Lie bracket ----------------------------------------------------------
 
@@ -200,7 +221,7 @@ class Oracle:
                         out[key] = s
                     else:
                         out.pop(key, None)
-        return OracleElt(self, out)
+        return OracleElt(self, out, e1.den * e2.den)
 
     # -- normal form ----------------------------------------------------------
 
@@ -244,12 +265,11 @@ class Oracle:
                     else:
                         del nxt[w2]
             cur = nxt
-        return OracleElt(self, {w: Fraction(c) for w, c in cur.items()})
+        return OracleElt(self, cur)
 
     def mul(self, e1, e2):
         out = {}
         for w1, c1 in e1.terms.items():
-            cur = {w1: c1}
             for w2, c2 in e2.terms.items():
                 # fold the letters of w1 into w2 right to left
                 part = {w2: 1}
@@ -263,13 +283,14 @@ class Oracle:
                             else:
                                 del nxt[wz]
                     part = nxt
+                c12 = c1 * c2
                 for w, c in part.items():
-                    s = out.get(w, 0) + c1 * c2 * c
+                    s = out.get(w, 0) + c12 * c
                     if s:
                         out[w] = s
                     else:
                         del out[w]
-        return OracleElt(self, out)
+        return OracleElt(self, out, e1.den * e2.den)
 
     # -- gradings and formatting ----------------------------------------------
 
@@ -300,7 +321,7 @@ class Oracle:
             return "0"
         bits = []
         for w in sorted(e.terms, key=lambda w: (len(w), w)):
-            c = e.terms[w]
+            c = Fraction(e.terms[w], e.den)
             body = "*".join(self.format_letter(l) for l in w) if w else "1"
             bits.append(f"{c}*{body}" if w else f"{c}")
         return " + ".join(bits)

@@ -64,6 +64,19 @@ class Window:
             raise ValueError(f"exponent caps must be >= -1, got {self.exp_caps}")
 
 
+def _checked_window(datum, lam, window):
+    """The window, or the default one for lam; ValueError unless it has one
+    exponent cap per positive root and one drop cap per simple root."""
+    if window is None:
+        return default_window(datum, lam)
+    if len(window.exp_caps) != len(datum.pos_roots):
+        raise ValueError(f"exponent caps need {len(datum.pos_roots)} entries, "
+                         f"got {len(window.exp_caps)}")
+    if len(window.drop_cap) != datum.rank:
+        raise ValueError(f"drop cap needs {datum.rank} entries, got {len(window.drop_cap)}")
+    return window
+
+
 def default_window(datum, lam, slack=2):
     caps = tuple(datum.pairing(lam, idx) - 1 for idx in range(len(datum.pos_roots)))
     drop = datum.lambda_minus_w0_lambda(lam)
@@ -201,8 +214,7 @@ def spanning_set(datum, lam, algebra, window=None):
         raise ValueError(f"{lam} is not dominant")
     if algebra.kind != "poly":
         raise ValueError("spanning windows require polynomial coefficients")
-    if window is None:
-        window = default_window(datum, lam)
+    window = _checked_window(datum, lam, window)
     o = get_oracle(datum, algebra)
     return sorted(_lowering_monomials(o, window.exp_caps, window.drop_cap))
 
@@ -404,13 +416,7 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None,
     if tuple(eval_data.lam) != lam:
         raise ValueError("eval table weight differs from the module weight")
     eval_data.validate(datum, algebra)
-    if window is None:
-        window = default_window(datum, lam)
-    if len(window.exp_caps) != len(datum.pos_roots):
-        raise ValueError(f"exponent caps need {len(datum.pos_roots)} entries, "
-                         f"got {len(window.exp_caps)}")
-    if len(window.drop_cap) != datum.rank:
-        raise ValueError(f"drop cap needs {datum.rank} entries, got {len(window.drop_cap)}")
+    window = _checked_window(datum, lam, window)
     if max_slack < window.slack:
         raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 

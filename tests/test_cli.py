@@ -1,9 +1,10 @@
 """End-to-end command tests: output text, JSON schemas, exit codes."""
 import json
+from fractions import Fraction
 
 import pytest
 
-from hyperweyl import cli
+from hyperweyl import cli, hyper
 from hyperweyl.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -119,6 +120,21 @@ def test_verify_failure_json(capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["pass"] is False
     assert obj["identities"][0]["failures"][0]["residual"] == "x - y"
+
+
+def test_verify_failure_prints_real_sides(capsys, monkeypatch):
+    # a checker whose sides differ goes through the real report
+    def unequal(o, p):
+        return hyper._report(o, p, o.x_minus(0, (1,)), Fraction(1, 2) * o.one())
+    monkeypatch.setitem(hyper._IDENTITIES, "commutrels2", unequal)
+    argv = ("verify", "--id", "commutrels2", "--type", "A1", "--kmax", "1", "--lmax", "1")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_FAIL
+    failure = json.loads(out)["identities"][0]["failures"][0]
+    assert failure["lhs"] == "1*f(a1,t)" and failure["rhs"] == "1/2"
+    assert failure["residual"] == "-1/2 + 1*f(a1,t)"
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_FAIL and "  residual: -1/2 + 1*f(a1,t)" in out
 
 
 def test_verify_unknown_id(capsys):
@@ -304,6 +320,10 @@ def test_bad_word_size_bounds(capsys, argv, named):
     (("weyl", "--lambda", "1", "--max-slack", "-3"), "max_slack"),
     (("local-weyl", "--lambda", "1", "--eval", "points:4", "--max-slack", "0"),
      "max_slack"),
+    (("weyl", "--type", "A2", "--lambda", "1,1", "--exp-caps", "0,0,1,7"),
+     "--exp-caps needs 3 entries"),
+    (("weyl", "--type", "A2", "--lambda", "1,1", "--drop-cap", "2,2,5"),
+     "--drop-cap needs 2 entries"),
 ])
 def test_bad_window_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -12,6 +12,7 @@ from hyperweyl.rootdata import build_root_datum
 from hyperweyl.hyper import (
     NotInZFormError,
     SweepLimits,
+    _report,
     _series_dp,
     cartan_binom,
     collect,
@@ -168,22 +169,27 @@ def _series_values(o):
     return vals
 
 
+def _fields(e):
+    """Numerators and denominator of an element, detached from its oracle."""
+    return e.den, dict(e.terms)
+
+
 def test_series_memo_is_exact_and_unaliased():
     o = a2_oracle()
     cached = _series_values(o)
-    snapshot = {key: dict(e.terms) for key, e in cached.items()}
+    snapshot = {key: _fields(e) for key, e in cached.items()}
     # a fresh oracle shares no memo key with the shared one
     other = Oracle(o.datum, o.algebra)
     fresh = _series_values(other)
     assert all(e.oracle is other for e in fresh.values())
-    assert snapshot == {key: e.terms for key, e in fresh.items()}
+    assert snapshot == {key: _fields(e) for key, e in fresh.items()}
     lim = SweepLimits(rmax=2, smax=2, kmax=2, lmax=2, adeg=1)
     for which in ("basicrel", "commutrels5", "a_k_reduction"):
         for p in identity_cases(o, which, lim):
             assert verify_identity(o, which, p)["pass"], (which, p)
     again = _series_values(o)
     assert all(again[key] is cached[key] for key in cached if key[-1])
-    assert {key: e.terms for key, e in cached.items()} == snapshot
+    assert {key: _fields(e) for key, e in cached.items()} == snapshot
 
 
 def test_series_dp_lists_every_coefficient():
@@ -259,9 +265,9 @@ def test_series_memo_grows_in_place():
         low = [call(o, r) for r in range(3)]
         top = call(o, 5)
         assert all(call(o, r) is low[r] for r in range(3))
-        # elements of different oracles never compare equal, so compare terms
-        assert top.terms == call(direct, 5).terms
-        assert all(call(o, r).terms == call(direct, r).terms for r in range(6))
+        # elements of different oracles never compare equal, so compare fields
+        assert _fields(top) == _fields(call(direct, 5))
+        assert all(_fields(call(o, r)) == _fields(call(direct, r)) for r in range(6))
 
 
 # -- collect and straighten -------------------------------------------------------
@@ -284,9 +290,15 @@ def test_collect_cartan_square_frozen():
 
 def test_collect_rejects_non_integral():
     o = sl2_oracle()
-    f = o.x_minus(0, (0,))
-    with pytest.raises(NotInZFormError):
-        collect(o, Fraction(1, 3) * (f * f))
+    f, h = o.x_minus(0, (0,)), o.h(0, (1,))
+    # the message names the rational basis coefficient, with its sign
+    for e, message in (
+            (Fraction(1, 3) * (f * f), "coefficient 2/3 at F(a1,1)^(2)"),
+            (Fraction(1, 5) * (h * h * h), "coefficient -6/5 at L(1,t,3)"),
+            (Fraction(1, 4) * (h * h * f * f * f), "coefficient -3/2 at F(a1,1)^(3) L(1,t^2,1)")):
+        with pytest.raises(NotInZFormError) as err:
+            collect(o, e)
+        assert str(err.value) == message + " is not an integer"
 
 
 def test_straighten_sl2_swap():
@@ -426,6 +438,31 @@ def test_verify_identity_reports():
         verify_identity(o, "commutrels1", {
             "alpha": 0, "beta": 0, "sign1": "+", "sign2": "-",
             "a": (0,), "b": (0,), "k": 1, "l": 1})
+
+
+def test_failing_report_formats_both_sides():
+    o = sl2_oracle()
+    lhs = o.x_minus(0, (1,)) * o.h(0, (0,))
+    rhs = Fraction(1, 2) * o.h(0, (1,))
+    rep = _report(o, {"k": 1}, lhs, rhs)
+    assert rep["pass"] is False and rep["params"] == {"k": 1}
+    assert rep["lhs"] == o.format_elt(lhs)
+    assert rep["rhs"] == o.format_elt(rhs)
+    assert rep["residual"] == o.format_elt(lhs - rhs)
+
+
+@pytest.mark.parametrize("which, params", [
+    ("basicrel", {"alpha": 0, "a": (1,), "b": (0,), "r": 1, "s": 2}),
+    ("commutrels1", {"alpha": 0, "beta": 0, "sign1": "-", "sign2": "-",
+                     "a": (0,), "b": (1,), "k": 1, "l": 2}),
+    ("a_k_reduction", {"i": 0, "a": (1,), "k": 2, "r": 1}),
+    ("gAforms_integrality", {"count": 3, "seed": 1}),
+])
+def test_passing_report_has_no_sides(which, params):
+    rep = verify_identity(sl2_oracle(), which, params)
+    assert rep["pass"] is True
+    assert "lhs" not in rep and "rhs" not in rep
+    assert rep["residual"] in ("0", "")
 
 
 def test_verify_identity_small_sweep_sl2():

@@ -54,7 +54,8 @@ def test_letter_order_is_pbw_order():
 def test_normal_form_fixes_sorted_words():
     o = _sl2()
     w = (o.letter(LOWER, 0, (0,)), o.letter(LOWER, 0, (1,)), o.letter(CARTAN, 0, (0,)))
-    assert o.nf_word(w).terms == {w: 1}
+    nf = o.nf_word(w)
+    assert (nf.den, nf.terms) == (1, {w: 1})
 
 
 def test_ef_swap():

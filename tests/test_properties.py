@@ -1,11 +1,27 @@
-"""Property-based checks of the exact row spaces behind every rank and dimension."""
+"""Property-based checks of the exact row spaces behind every rank and dimension,
+and of the integer-numerator envelope elements everything else is built on."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperweyl.coeffalg import CoeffAlgebra
+from hyperweyl.hyper import (
+    E_DP,
+    F_DP,
+    H_BINOM,
+    L_GEN,
+    NotInZFormError,
+    collect,
+    expand_monomial,
+    ordered_monomial,
+)
+from hyperweyl.oracle import CARTAN, LOWER, RAISE, OracleElt, get_oracle
+from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import RowSpace, reduce_mod_p
 
 # small labels and entries, so that random rows are often dependent
@@ -50,3 +66,126 @@ def test_char_p_rank_of_rationals_matches_reduced_rows(case):
     fed_rationals = space_of(rows, p)
     fed_residues = space_of([reduce_mod_p(row, p) for row in rows], p)
     assert fed_rationals.rank == fed_residues.rank
+
+
+# -- envelope elements: integer numerators over one denominator ----------------
+
+ORACLES = (get_oracle(build_root_datum("A", 1), CoeffAlgebra("poly", 1)),
+           get_oracle(build_root_datum("A", 2), CoeffAlgebra("poly", 2)))
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+def as_fractions(e):
+    """The plain reference form of an element: word -> nonzero Fraction."""
+    return {w: Fraction(c, e.den) for w, c in e.terms.items()}
+
+
+def ref_add(x, y, scale=1):
+    out = dict(x)
+    for w, c in y.items():
+        out[w] = out.get(w, 0) + scale * c
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_mul(o, x, y):
+    """Product through the integer normal form of each concatenated word."""
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            out = ref_add(out, {w: c1 * c2 * c for w, c in o.nf_word(w1 + w2).terms.items()})
+    return out
+
+
+def assert_lowest_terms(e):
+    assert isinstance(e.den, int) and e.den >= 1
+    assert all(isinstance(c, int) and c for c in e.terms.values())
+    assert math.gcd(e.den, *e.terms.values()) == 1
+    if not e.terms:
+        assert e.den == 1
+
+
+def letters_of(o):
+    mons = o.algebra.monomials_up_to_deg(1)
+    return [o.letter(block, idx, b) for b in mons
+            for block, count in ((LOWER, len(o.datum.pos_roots)), (CARTAN, o.datum.rank),
+                                 (RAISE, len(o.datum.pos_roots)))
+            for idx in range(count)]
+
+
+@st.composite
+def elements(draw, o):
+    """A small element built from a reference dict of normal words."""
+    words = st.lists(st.sampled_from(letters_of(o)), max_size=3).map(lambda ls: tuple(sorted(ls)))
+    ref = {w: c for w, c in draw(st.dictionaries(words, RATIONALS, max_size=4)).items() if c}
+    den = math.lcm(*(c.denominator for c in ref.values()))
+    e = OracleElt(o, {w: int(c * den) for w, c in ref.items()}, den)
+    assert as_fractions(e) == ref
+    return e
+
+
+@st.composite
+def monomials(draw, o):
+    """An ordered basis monomial with small exponents and coefficient degrees."""
+    A, d = o.algebra, o.datum
+    mons = A.monomials_up_to_deg(1)
+    nonunit = [b for b in mons if b != A.unit()]
+    roots, nodes = range(len(d.pos_roots)), range(d.rank)
+    gens = st.one_of(
+        st.tuples(st.sampled_from((F_DP, E_DP)), st.sampled_from(roots), st.sampled_from(mons)),
+        st.tuples(st.just(H_BINOM), st.sampled_from(nodes), st.just(A.unit())),
+        st.tuples(st.just(L_GEN), st.sampled_from(nodes), st.sampled_from(nonunit)))
+    labelled = draw(st.dictionaries(gens, st.integers(1, 3), max_size=3))
+    by_label = {}
+    for (kind, idx, exps), k in labelled.items():
+        by_label[(kind, idx) if kind == H_BINOM else (kind, idx, exps)] = (kind, idx, exps, k)
+    return ordered_monomial(by_label.values())
+
+
+ORACLE_IDS = ("sl2-poly1", "A2-poly2")
+
+
+def expand(o, h):
+    return sum((c * expand_monomial(o, m) for m, c in h.items()), o.zero())
+
+
+@pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_ring_operations_match_fraction_reference(o, data):
+    x, y = data.draw(elements(o), label="x"), data.draw(elements(o), label="y")
+    rx, ry = as_fractions(x), as_fractions(y)
+    n = data.draw(st.integers(-3, 3), label="n")
+    q = data.draw(RATIONALS, label="q")
+    cases = [
+        (x + y, ref_add(rx, ry)),
+        (x - y, ref_add(rx, ry, -1)),
+        (-x, {w: -c for w, c in rx.items()}),
+        (x * y, ref_mul(o, rx, ry)),
+        (n * x, {w: n * c for w, c in rx.items() if n}),
+        (x * q, {w: q * c for w, c in rx.items() if q}),
+    ]
+    for got, want in cases:
+        assert_lowest_terms(got)
+        assert as_fractions(got) == want
+
+
+@pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_collect_round_trips_integer_combinations(o, data):
+    mons = data.draw(st.lists(monomials(o), max_size=3, unique=True), label="monomials")
+    h = {m: data.draw(st.integers(-3, 3).filter(bool)) for m in mons}
+    e = expand(o, h)
+    assert_lowest_terms(e)
+    assert collect(o, e) == h
+    # integer combinations of words lie in the integral form and re-expand exactly
+    x = data.draw(elements(o), label="x")
+    x = x.den * x
+    assert expand(o, collect(o, x)) == x
+    # a fraction of it collects exactly when every basis coefficient is divisible
+    q = data.draw(st.integers(2, 4), label="q")
+    if all(c % q == 0 for c in h.values()):
+        assert collect(o, Fraction(1, q) * e) == {m: c // q for m, c in h.items()}
+    else:
+        with pytest.raises(NotInZFormError):
+            collect(o, Fraction(1, q) * e)

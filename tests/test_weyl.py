@@ -99,6 +99,12 @@ def test_closure_rejects_window_of_wrong_length(window):
         relation_closure(A1, (2,), P1, window=window)
 
 
+@pytest.mark.parametrize("window", [Window((0, 0, 1), (2, 2, 5)), Window((0, 0, 1, 7), (2, 2))])
+def test_spanning_set_rejects_window_of_wrong_length(window):
+    with pytest.raises(ValueError, match="entries"):
+        spanning_set(A2, (1, 1), P1, window)
+
+
 def test_closure_rejects_max_slack_below_slack():
     w = default_window(A1, (1,), slack=3)
     with pytest.raises(ValueError, match="max_slack"):
