@@ -340,8 +340,8 @@ def _add_window(sp):
     sp.add_argument("--slack", type=int, default=2,
                     help="initial window slack (default 2)")
     sp.add_argument("--max-slack", type=int, default=8,
-                    help="deepening bound for stabilization, at least "
-                    "--slack (default 8)")
+                    help="largest slack any pass uses, at least --slack; "
+                    "equal to --slack runs one unconfirmed pass (default 8)")
     sp.add_argument("--exp-caps", help="per-root coefficient exponent caps, "
                     "comma list")
     sp.add_argument("--drop-cap", help="weight-drop cap in simple-root "

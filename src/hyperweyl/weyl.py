@@ -13,6 +13,7 @@ All vectors here are dicts mapping pure-lowering monomials to scalars.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .coeffalg import TRIVIAL
@@ -29,7 +30,7 @@ from .hyper import (
     raise_dp,
 )
 from .oracle import get_oracle
-from .scalars import RowSpace, is_prime, rational_binomial, vec_add_scaled
+from .scalars import RowSpace, is_prime, vec_add_scaled
 
 __all__ = [
     "EvalData",
@@ -124,7 +125,7 @@ class EvalData:
         return self.c.get((i, exps, r), 0)
 
     def chi_binom(self, i, k):
-        return rational_binomial(self.lam[i], k)
+        return math.comb(self.lam[i], k)
 
 
 # -- evaluation on the highest-weight vector -----------------------------------
@@ -397,14 +398,14 @@ def result_to_json(r):
     }
 
 
-def relation_closure(datum, lam, algebra, eval_data=None, window=None,
-                     check_stability=True, max_slack=8):
+def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack=8):
     """Dimension and character of the windowed highest-weight quotient.
 
     The pass at the window's slack is confirmed by a pass at slack + 1, and
-    the slack grows until two consecutive passes agree on the dimension (or
-    max_slack is hit), so the default call self-stabilizes.  Without
-    `check_stability` only the pass at the window's slack runs.
+    the slack grows until two consecutive passes agree on the dimension, so
+    the default call self-stabilizes.  No pass runs above max_slack: with
+    max_slack equal to the window's slack only that one pass runs, and the
+    result is not stabilized.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -424,18 +425,14 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None,
     state = _closure_pass(datum, lam, algebra, eval_data, window, slack)
     dim, char_map = state.dimension_and_character(datum, lam)
     stabilized = False
-    if check_stability:
+    while slack < max_slack:
         probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
         dim1, ch1 = probe.dimension_and_character(datum, lam)
-        while dim1 != dim and slack + 1 < max_slack:
-            slack += 1
-            state, dim, char_map = probe, dim1, ch1
-            probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
-            dim1, ch1 = probe.dimension_and_character(datum, lam)
-        stabilized = dim1 == dim
-        if not stabilized:
-            slack += 1
-            state, dim, char_map = probe, dim1, ch1
+        if dim1 == dim:
+            stabilized = True
+            break
+        slack += 1
+        state, dim, char_map = probe, dim1, ch1
     return WeylModuleResult(
         type_string=datum.type_string(),
         lam=lam,

@@ -153,7 +153,7 @@ def local_module(m, p):
         anchor = relation_closure(
             A1, (m,), P1, EvalData(lam=(m,), char=p),
             window=default_window(A1, (m,), slack=anchor_slack),
-            check_stability=False)
+            max_slack=anchor_slack)
         _LOCAL[key] = (res, anchor)
     return _LOCAL[key]
 

@@ -201,6 +201,15 @@ def test_unstable_exit_code(capsys):
     assert "stabilized: false" in out and "did not stabilize" in err
 
 
+def test_max_slack_equal_to_slack_is_one_unconfirmed_pass(capsys):
+    argv = ("weyl", "--lambda", "1", "--slack", "3", "--max-slack", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_UNSTABLE
+    assert "stabilized: false  (slack 3)" in out and "did not stabilize" in err
+    code, out, _ = run(capsys, *argv, "--allow-unstable")
+    assert code == EXIT_OK and "(slack 3)" in out
+
+
 # -- eval table files --------------------------------------------------------------
 
 def table_file(tmp_path, obj):

@@ -68,6 +68,24 @@ def test_char_p_rank_of_rationals_matches_reduced_rows(case):
     assert fed_rationals.rank == fed_residues.rank
 
 
+def assert_residues(vec, p):
+    assert all(type(c) is int and 1 <= c < p for c in vec.values()), (p, vec)
+
+
+@SETTINGS
+@given(p_integral_rows(), st.dictionaries(LABELS, st.integers(-20, 20), max_size=4))
+def test_char_p_entries_are_int_residues(case, probe):
+    p, rows = case
+    space = RowSpace(char=p)
+    for row in rows:
+        assert_residues(reduce_mod_p(row, p), p)
+        assert_residues(space.insert(row), p)
+        for pivot, stored in space.rows.items():
+            assert_residues(stored, p)
+            assert stored[pivot] == 1
+    assert_residues(space.reduce(probe), p)
+
+
 # -- envelope elements: integer numerators over one denominator ----------------
 
 ORACLES = (get_oracle(build_root_datum("A", 1), CoeffAlgebra("poly", 1)),

@@ -6,72 +6,26 @@ from fractions import Fraction
 import pytest
 
 from hyperweyl.scalars import (
-    FieldMismatchError,
-    FpElt,
     NotPIntegralError,
     RowSpace,
-    rational_binomial,
     reduce_mod_p,
-    scalar_mod_p,
     solve_exact,
     vec_add_scaled,
 )
-
-
-def test_fp_arithmetic():
-    a = FpElt(3, 7)
-    b = FpElt(5, 7)
-    assert (a + b).val == 1
-    assert (a - b).val == 5
-    assert (a * b).val == 1
-    assert (a / b).val == (3 * pow(5, -1, 7)) % 7
-    assert (-a).val == 4
-    assert a + 4 == FpElt(0, 7)
-    assert 2 * a == FpElt(6, 7)
-    assert not FpElt(0, 7)
-    assert a != FpElt(3, 5)
-
-
-def test_fp_mismatched_chars():
-    with pytest.raises(FieldMismatchError):
-        FpElt(1, 5) + FpElt(1, 7)
-
-
-def test_scalar_mod_p():
-    assert scalar_mod_p(10, 7) == FpElt(3, 7)
-    assert scalar_mod_p(Fraction(1, 2), 7) == FpElt(4, 7)
-    assert scalar_mod_p(Fraction(-1, 3), 5) == FpElt(3, 5)
-    with pytest.raises(NotPIntegralError):
-        scalar_mod_p(Fraction(1, 7), 7)
-    with pytest.raises(FieldMismatchError):
-        scalar_mod_p(FpElt(1, 5), 7)
 
 
 def test_reduce_mod_p():
     vec = {"x": Fraction(3), "y": Fraction(7), "z": Fraction(1, 2)}
     out = reduce_mod_p(vec, 7)
     # the entry 7 = 0 mod 7 is dropped
-    assert set(out) == {"x", "z"}
-    assert out["z"] == FpElt(4, 7)
+    assert out == {"x": 3, "z": 4}
+    assert all(type(r) is int for r in out.values())
+    assert reduce_mod_p({0: 10}, 7) == {0: 3}
+    assert reduce_mod_p({0: Fraction(-1, 3)}, 5) == {0: 3}
+    with pytest.raises(NotPIntegralError):
+        reduce_mod_p({0: Fraction(1, 7)}, 7)
     with pytest.raises(ValueError):
         reduce_mod_p(vec, 6)
-
-
-def test_rational_binomial():
-    assert rational_binomial(5, 2) == 10
-    assert rational_binomial(5, 0) == 1
-    assert rational_binomial(0, 0) == 1
-    assert rational_binomial(-3, 2) == 6
-    assert rational_binomial(-1, 3) == -1
-    assert rational_binomial(2, 5) == 0
-    with pytest.raises(ValueError):
-        rational_binomial(3, -1)
-
-
-def test_rational_binomial_pascal():
-    for n in range(-6, 7):
-        for k in range(1, 6):
-            assert rational_binomial(n, k) == rational_binomial(n - 1, k) + rational_binomial(n - 1, k - 1)
 
 
 def test_vec_add_scaled_cancels():
@@ -150,8 +104,11 @@ def test_rowspace_char_p_coercion():
     assert space.insert({0: 3, 1: 3}) == {}
     space.insert({0: Fraction(1, 2), 1: 1})
     assert space.rank == 1
-    with pytest.raises(FieldMismatchError):
-        RowSpace().insert({0: FpElt(1, 5)})
+    # 1/2 = 4 and 10 = 3 mod 7, then the pivot 4 is scaled by 4^-1 = 2
+    assert RowSpace(char=7).insert({0: Fraction(1, 2), 1: 10}) == {0: 1, 1: 6}
+    for char in (0, 3):
+        with pytest.raises(TypeError):
+            RowSpace(char=char).insert({0: 0.5})
     with pytest.raises(NotPIntegralError):
         space.insert({0: Fraction(1, 3)})
 

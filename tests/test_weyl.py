@@ -112,6 +112,14 @@ def test_closure_rejects_max_slack_below_slack():
     assert relation_closure(A1, (1,), P1, window=w, max_slack=3).dimension == 2
 
 
+def test_max_slack_equal_to_window_slack_runs_one_pass():
+    # the slack 1 and slack 2 passes disagree here (dimensions 11 and 10), so
+    # a pass above max_slack would show up as a deeper window
+    w = default_window(A1, (3,), slack=1)
+    r = relation_closure(A1, (3,), P1, EvalData(lam=(3,), char=3), window=w, max_slack=1)
+    assert r.window.slack == 1 and r.stabilized is False
+
+
 # -- eval data ----------------------------------------------------------------------
 
 def test_eval_data_validation():
@@ -280,7 +288,7 @@ def test_dimension_nonincreasing_in_slack():
     dims = []
     for slack in (0, 1, 2, 3):
         w = default_window(A1, (2,), slack=slack)
-        r = relation_closure(A1, (2,), P1, window=w, check_stability=False)
+        r = relation_closure(A1, (2,), P1, window=w, max_slack=slack)
         dims.append(r.dimension)
     assert dims == sorted(dims, reverse=True)
     assert dims[-1] == 4
@@ -323,7 +331,7 @@ def test_reduction_into_low_exponent_span():
     m = 2
     w = default_window(A1, (m,), slack=4)
     r = relation_closure(A1, (m,), P1, graded((m,)), window=w,
-                         check_stability=False)
+                         max_slack=w.slack)
     allowed = {(lower_dp(0, (j,), 1),) for j in range(m)}
     for s in range(m, m + 3):
         red = r.state.reduce({(lower_dp(0, (s,), 1),): 1})
