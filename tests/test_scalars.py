@@ -20,12 +20,18 @@ def test_reduce_mod_p():
     # the entry 7 = 0 mod 7 is dropped
     assert out == {"x": 3, "z": 4}
     assert all(type(r) is int for r in out.values())
-    assert reduce_mod_p({0: 10}, 7) == {0: 3}
-    assert reduce_mod_p({0: Fraction(-1, 3)}, 5) == {0: 3}
-    with pytest.raises(NotPIntegralError):
-        reduce_mod_p({0: Fraction(1, 7)}, 7)
     with pytest.raises(ValueError):
         reduce_mod_p(vec, 6)
+
+
+def test_scalar_mod_p():
+    # a single scalar reduces as a one-entry vector, to an int residue
+    assert reduce_mod_p({0: 10}, 7) == {0: 3}
+    assert reduce_mod_p({0: Fraction(1, 2)}, 7) == {0: 4}
+    assert reduce_mod_p({0: Fraction(-1, 3)}, 5) == {0: 3}
+    assert type(reduce_mod_p({0: Fraction(1, 2)}, 7)[0]) is int
+    with pytest.raises(NotPIntegralError):
+        reduce_mod_p({0: Fraction(1, 7)}, 7)
 
 
 def test_vec_add_scaled_cancels():
