@@ -44,18 +44,11 @@ class UsageError(ValueError):
 # -- shared argument plumbing ---------------------------------------------------
 
 def _datum(type_string):
-    try:
-        series, rank = parse_type_string(type_string)
-        return build_root_datum(series, rank)
-    except ValueError as err:
-        raise UsageError(str(err))
+    return build_root_datum(*parse_type_string(type_string))
 
 
 def _algebra(spec):
-    try:
-        return CoeffAlgebra.from_spec_string(spec)
-    except ValueError as err:
-        raise UsageError(str(err))
+    return CoeffAlgebra.from_spec_string(spec)
 
 
 def _int_tuple(text, n, what):
@@ -157,7 +150,7 @@ def cmd_lambda(args):
     o = get_oracle(datum, algebra)
     if not 1 <= args.i <= datum.rank:
         raise UsageError(f"node index must be in 1..{datum.rank}")
-    _require_at_least(args, 0, "upto")
+    _require_at_least(args, 0, "upto", "r")
     a = algebra.parse(args.a)
     orders = range(args.upto + 1) if args.upto is not None else [args.r]
     rows = [(r, collect(o, lambda_poly(o, args.i - 1, a, r))) for r in orders]
@@ -424,9 +417,6 @@ def main(argv=None):
         return EXIT_USAGE if err.code else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

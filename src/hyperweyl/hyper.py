@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .oracle import LOWER, RAISE, OracleElt
-from .scalars import solve_exact
+from .scalars import solve_exact, vec_add_scaled
 
 F_DP, H_BINOM, L_GEN, E_DP = 0, 1, 2, 3
 
@@ -137,15 +137,10 @@ def _as_combo(a):
 
 
 def _combo_mul(A, c1, c2):
+    # multiplying by a monomial b1 is injective, so the inner keys are distinct
     out = {}
     for b1, v1 in c1.items():
-        for b2, v2 in c2.items():
-            b = A.mul(b1, b2)
-            s = out.get(b, 0) + v1 * v2
-            if s:
-                out[b] = s
-            else:
-                del out[b]
+        vec_add_scaled(out, {A.mul(b1, b2): v2 for b2, v2 in c2.items()}, v1)
     return out
 
 
@@ -406,13 +401,7 @@ def hyper_mul(o, h1, h2):
     for m1, c1 in h1.items():
         e1 = expand_monomial(o, m1)
         for m2, c2 in h2.items():
-            prod = collect(o, e1 * expand_monomial(o, m2))
-            for m, c in prod.items():
-                s = out.get(m, 0) + c1 * c2 * c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            vec_add_scaled(out, collect(o, e1 * expand_monomial(o, m2)), c1 * c2)
     return out
 
 

@@ -11,7 +11,11 @@ element tensored on.  Tuple comparison of letters is exactly the PBW order:
 lowering, then Cartan, then raising, each block by (index, graded basis order).
 
 Normal form is the naive rewriting x y -> y x + [x, y] applied until every
-word is weakly increasing; all structure constants are integers, so words
+word is weakly increasing.  One fold does all of it: `Oracle._fold` inserts
+the letters of a word right to left into a sparse combination of normal
+words, and the memoized `_insert` of one letter into a normal word is itself
+a one-letter fold plus bracket terms.  Every other sparse sum goes through
+`scalars.vec_add_scaled`.  All structure constants are integers, so words
 carry integer coefficients and rationals enter only through divided powers.
 An element therefore stores integer numerators over one positive common
 denominator, kept in lowest terms, and every product and sum stays in integers.
@@ -21,25 +25,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .scalars import vec_add_scaled
+
 LOWER, CARTAN, RAISE = 0, 1, 2
 
 
 def _mat_mul(a, b):
     out = {}
     for (i, k), va in a.items():
-        for (k2, j), vb in b.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) + va * vb
-    return {k: v for k, v in out.items() if v}
+        vec_add_scaled(out, {(i, j): vb for (k2, j), vb in b.items() if k2 == k}, va)
+    return out
 
 
 def _mat_commutator(a, b):
-    out = dict(_mat_mul(a, b))
-    for k, v in _mat_mul(b, a).items():
-        out[k] = out.get(k, 0) - v
-        if not out[k]:
-            del out[k]
-    return out
+    return vec_add_scaled(_mat_mul(a, b), _mat_mul(b, a), -1)
 
 
 class ChevalleyTable:
@@ -119,17 +118,13 @@ class OracleElt:
             raise ValueError("elements of different envelopes")
 
     def __add__(self, other):
+        if not isinstance(other, OracleElt):
+            return NotImplemented
         self._check(other)
         d1, d2 = self.den, other.den
         den = d1 * d2 // math.gcd(d1, d2)
-        a, b = den // d1, den // d2
-        out = {w: a * c for w, c in self.terms.items()}
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + b * c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+        a = den // d1
+        out = vec_add_scaled({w: a * c for w, c in self.terms.items()}, other.terms, den // d2)
         return OracleElt(self.oracle, out, den)
 
     def __sub__(self, other):
@@ -139,7 +134,9 @@ class OracleElt:
         if isinstance(other, OracleElt):
             self._check(other)
             return self.oracle.mul(self, other)
-        # an int or a Fraction; an int has numerator itself and denominator 1
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        # an int has numerator itself and denominator 1
         num = other.numerator
         if not num:
             return self.oracle.zero()
@@ -214,16 +211,33 @@ class Oracle:
             for w2, c2 in e2.terms.items():
                 if len(w1) != 1 or len(w2) != 1:
                     raise ValueError("lie_bracket takes Lie elements, not envelope products")
-                for letter, cz in self.bracket_letters(w1[0], w2[0]):
-                    key = (letter,)
-                    s = out.get(key, 0) + c1 * c2 * cz
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                vec_add_scaled(out, {(z,): cz for z, cz in self.bracket_letters(w1[0], w2[0])},
+                               c1 * c2)
         return OracleElt(self, out, e1.den * e2.den)
 
     # -- normal form ----------------------------------------------------------
+
+    def _fold(self, word, part):
+        """Normal form of word * part, part a dict normal word -> int.
+
+        Folds the letters of word into part right to left.  Never writes into
+        part or into a cached value; an empty word returns part itself, so
+        callers only read the result.
+        """
+        for x in reversed(word):
+            nxt = {}
+            for w, c in part.items():
+                # the hottest loop of the package, kept inline: a vec_add_scaled
+                # call per word made local_weyl 0.3% slower in 7 of 8 bench pairs
+                # and identity_sweep no faster
+                for wz, cz in self._insert(x, w).items():
+                    s = nxt.get(wz, 0) + c * cz
+                    if s:
+                        nxt[wz] = s
+                    else:
+                        del nxt[wz]
+            part = nxt
+        return part
 
     def _insert(self, x, word):
         """Normal form of x * word (word already normal); dict word -> int."""
@@ -233,63 +247,23 @@ class Oracle:
         got = self._insert_cache.get(key)
         if got is not None:
             return got
+        # x y rest = y (x rest) + [x, y] rest
         y, rest = word[0], word[1:]
-        out = {}
-        for w, c in self._insert(x, rest).items():
-            for w2, c2 in self._insert(y, w).items():
-                s = out.get(w2, 0) + c * c2
-                if s:
-                    out[w2] = s
-                else:
-                    del out[w2]
+        out = self._fold((y,), self._insert(x, rest))
         for z, cz in self.bracket_letters(x, y):
-            for w, c in self._insert(z, rest).items():
-                s = out.get(w, 0) + cz * c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
+            vec_add_scaled(out, self._insert(z, rest), cz)
         self._insert_cache[key] = out
         return out
 
     def nf_word(self, word):
         """Normal form of an arbitrary word as an OracleElt."""
-        cur = {(): 1}
-        for x in reversed(tuple(word)):
-            nxt = {}
-            for w, c in cur.items():
-                for w2, c2 in self._insert(x, w).items():
-                    s = nxt.get(w2, 0) + c * c2
-                    if s:
-                        nxt[w2] = s
-                    else:
-                        del nxt[w2]
-            cur = nxt
-        return OracleElt(self, cur)
+        return OracleElt(self, self._fold(tuple(word), {(): 1}))
 
     def mul(self, e1, e2):
+        # the fold is linear: each left word goes into the whole right factor
         out = {}
         for w1, c1 in e1.terms.items():
-            for w2, c2 in e2.terms.items():
-                # fold the letters of w1 into w2 right to left
-                part = {w2: 1}
-                for x in reversed(w1):
-                    nxt = {}
-                    for w, c in part.items():
-                        for wz, cz in self._insert(x, w).items():
-                            s = nxt.get(wz, 0) + c * cz
-                            if s:
-                                nxt[wz] = s
-                            else:
-                                del nxt[wz]
-                    part = nxt
-                c12 = c1 * c2
-                for w, c in part.items():
-                    s = out.get(w, 0) + c12 * c
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
+            vec_add_scaled(out, self._fold(w1, e2.terms), c1)
         return OracleElt(self, out, e1.den * e2.den)
 
     # -- gradings and formatting ----------------------------------------------

@@ -402,10 +402,10 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     """Dimension and character of the windowed highest-weight quotient.
 
     The pass at the window's slack is confirmed by a pass at slack + 1, and
-    the slack grows until two consecutive passes agree on the dimension, so
-    the default call self-stabilizes.  No pass runs above max_slack: with
-    max_slack equal to the window's slack only that one pass runs, and the
-    result is not stabilized.
+    the slack grows until two consecutive passes agree on the dimension and
+    the whole character, so the default call self-stabilizes.  No pass runs
+    above max_slack: with max_slack equal to the window's slack only that one
+    pass runs, and the result is not stabilized.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -428,7 +428,7 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     while slack < max_slack:
         probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
         dim1, ch1 = probe.dimension_and_character(datum, lam)
-        if dim1 == dim:
+        if (dim1, ch1) == (dim, char_map):
             stabilized = True
             break
         slack += 1

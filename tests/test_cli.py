@@ -60,9 +60,10 @@ def test_lambda_upto(capsys):
     assert out.splitlines() == ["r=0: 1", "r=1: L(1,t,1)", "r=2: L(1,t,2)"]
 
 
-def test_lambda_negative_upto(capsys):
-    code, out, err = run(capsys, "lambda", "--a", "t", "--upto", "-1")
-    assert code == EXIT_USAGE and not out and "--upto" in err
+@pytest.mark.parametrize("flag", ["--upto", "--r"])
+def test_lambda_negative_upto(capsys, flag):
+    code, out, err = run(capsys, "lambda", "--a", "t", flag, "-1")
+    assert code == EXIT_USAGE and not out and f"{flag} must be >= 0" in err
 
 
 # -- verify sweeps ------------------------------------------------------------------

@@ -152,6 +152,12 @@ def test_elt_arithmetic_and_errors():
     assert (Fraction(1, 2) * e) + (Fraction(1, 2) * e) == e
     with pytest.raises(ValueError):
         e + o2.x_plus(0, (0,))
+    assert e * True == e and False * e == o.zero()
+    # anything but an int, a Fraction or an element is a TypeError
+    for bad in (lambda: e * 0.5, lambda: 0.5 * e, lambda: e * "x", lambda: e + 1,
+                lambda: 1 + e, lambda: e - 1, lambda: e + 0.5):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_format_elt():

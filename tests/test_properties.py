@@ -105,6 +105,23 @@ def ref_add(x, y, scale=1):
     return {w: c for w, c in out.items() if c}
 
 
+def ref_nf(o, word):
+    """Normal form by plain rewriting, sharing no code or cache with the oracle:
+    the leftmost pair x y with x > y becomes y x + [x, y] until all words sort."""
+    done, todo = {}, {tuple(word): 1}
+    while todo:
+        w, c = todo.popitem()
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
+            done = ref_add(done, {w: c})
+            continue
+        head, x, y, tail = w[:i], w[i], w[i + 1], w[i + 2:]
+        todo = ref_add(todo, {head + (y, x) + tail: c})
+        for z, cz in o.bracket_letters(x, y):
+            todo = ref_add(todo, {head + (z,) + tail: c * cz})
+    return done
+
+
 def ref_mul(o, x, y):
     """Product through the integer normal form of each concatenated word."""
     out = {}
@@ -185,6 +202,15 @@ def test_ring_operations_match_fraction_reference(o, data):
     for got, want in cases:
         assert_lowest_terms(got)
         assert as_fractions(got) == want
+
+
+@pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_normal_form_matches_plain_rewriting(o, data):
+    word = data.draw(st.lists(st.sampled_from(letters_of(o)), max_size=4), label="word")
+    nf = o.nf_word(word)
+    assert nf.den == 1 and nf.terms == ref_nf(o, word)
 
 
 @pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)

@@ -17,6 +17,7 @@ from hyperweyl.oracle import get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import vec_add_scaled
 from hyperweyl.weyl import (
+    ClosureState,
     EvalData,
     Window,
     WeylModuleResult,
@@ -118,6 +119,25 @@ def test_max_slack_equal_to_window_slack_runs_one_pass():
     w = default_window(A1, (3,), slack=1)
     r = relation_closure(A1, (3,), P1, EvalData(lam=(3,), char=3), window=w, max_slack=1)
     assert r.window.slack == 1 and r.stabilized is False
+
+
+def test_stabilized_needs_the_whole_character_to_agree(monkeypatch):
+    # the first two passes agree on the dimension but not on the character,
+    # so the first pass must not be reported as stabilized
+    first, later = {(1,): 1, (-1,): 1}, {(0,): 2}
+    passes = []
+
+    def fake(self, datum, lam):
+        passes.append(self)
+        return 2, (first if len(passes) == 1 else later)
+
+    monkeypatch.setattr(ClosureState, "dimension_and_character", fake)
+    w = default_window(A1, (1,), slack=1)
+    r = relation_closure(A1, (1,), P1, window=w, max_slack=3)
+    assert (r.window.slack, r.stabilized, r.character) == (2, True, later)
+    passes.clear()
+    r = relation_closure(A1, (1,), P1, window=w, max_slack=2)
+    assert (r.window.slack, r.stabilized, r.character) == (2, False, later)
 
 
 # -- eval data ----------------------------------------------------------------------
