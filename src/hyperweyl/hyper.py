@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .oracle import LOWER, RAISE, OracleElt
-from .scalars import solve_exact, vec_add_scaled
+from .scalars import vec_add_scaled
 
 F_DP, H_BINOM, L_GEN, E_DP = 0, 1, 2, 3
 
@@ -161,8 +161,11 @@ def _binom_elt(o, hvec, shift, m):
     return Fraction(1, math.factorial(m)) * acc
 
 
-def _unit_hvec(o, i):
-    return tuple(1 if j == i else 0 for j in range(o.datum.rank))
+def _simple_coroot(o, i):
+    """The unit coroot vector of h_i (simple roots come first); checks the node."""
+    if not 0 <= i < o.datum.rank:
+        raise ValueError(f"node index {i} is outside 0..{o.datum.rank - 1}")
+    return o.datum.coroots[i]
 
 
 def _lambda_series_coeff(o, hvec, combo, r):
@@ -191,11 +194,13 @@ def lambda_poly(o, i, a, r):
     The result is memoized per oracle and shared between callers: do not
     mutate it.
     """
-    return _lambda_series_coeff(o, _unit_hvec(o, i), _as_combo(a), r)
+    return _lambda_series_coeff(o, _simple_coroot(o, i), _as_combo(a), r)
 
 
 def lambda_poly_root(o, alpha, a, r):
     """Same series for the coroot of an arbitrary positive root."""
+    if not 0 <= alpha < len(o.datum.pos_roots):
+        raise ValueError(f"root index {alpha} is outside 0..{len(o.datum.pos_roots) - 1}")
     return _lambda_series_coeff(o, o.datum.coroots[alpha], _as_combo(a), r)
 
 
@@ -206,48 +211,33 @@ def lambda_power_reduction(o, i, a, k, r):
     that the series coefficient L(i, a^k, r) equals
     sum m * L(i,a,s_1) ... L(i,a,s_l); the total weight sum(s_j) of every
     tuple is r*k and the single-part tuple (r*k,) carries coefficient k.
+    The polynomial does not depend on the node or the algebra; a weight that
+    is not an integer raises NotInZFormError.
     """
-    A = o.algebra
-    a = tuple(a)
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
-    target = lambda_poly(o, i, {A.pow(a, k): 1}, r)
-    n = r * k
-    parts = sorted(_partitions(n))
-    cols = []
-    for pi in parts:
-        e = o.one()
-        for s in pi:
-            e = e * lambda_poly(o, i, {a: 1}, s)
-        cols.append(e)
-    rows = [{w: Fraction(c, e.den) for w, c in e.terms.items()} for e in cols + [target]]
-    sol = solve_exact(rows[:-1], rows[-1])
-    out = {}
-    for pi, x in zip(parts, sol):
-        if x:
-            if x.denominator != 1:
-                raise NotInZFormError(f"series reduction produced non-integer weight {x}")
-            out[pi] = int(x)
-    return out
-
-
-def _partitions(n):
-    """All partitions of n as ascending tuples."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(rest, minpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(minpart, rest + 1):
-            acc.append(p)
-            rec(rest - p, p, acc)
-            acc.pop()
-
-    rec(n, 1, [])
-    return out
+    _simple_coroot(o, i)
+    o.algebra.validate(tuple(a))
+    # Newton's identity m L_m = -sum_{s=1..m} P_s L_{m-s}, P_m = h_i ⊗ a^m, solved
+    # for the P_m in the L(i,a,s), then run at a^k, whose power sums are the P_{ks}
+    P = [None]
+    for m in range(1, r * k + 1):
+        P.append({(m,): -m})
+        for s in range(1, m):
+            vec_add_scaled(P[m], {tuple(sorted(p + (m - s,))): c for p, c in P[s].items()}, -1)
+    lam = [{(): 1}]
+    for j in range(1, r + 1):
+        acc = {}
+        for s in range(1, j + 1):
+            for p, c in P[k * s].items():
+                vec_add_scaled(acc, {tuple(sorted(p + q)): d for q, d in lam[j - s].items()}, -c)
+        lam.append({})
+        for parts, c in acc.items():
+            lam[j][parts], rem = divmod(c, j)
+            if rem:
+                raise NotInZFormError(
+                    f"series reduction produced non-integer weight {Fraction(c, j)}")
+    return lam[r]
 
 
 # -- lowering series --------------------------------------------------------
@@ -290,9 +280,9 @@ def expand_gen(o, g):
         letter = o.letter(LOWER if kind == F_DP else RAISE, idx, exps)
         out = OracleElt(o, {(letter,) * k: 1}, math.factorial(k))
     elif kind == H_BINOM:
-        out = _binom_elt(o, _unit_hvec(o, idx), 0, k)
+        out = _binom_elt(o, _simple_coroot(o, idx), 0, k)
     else:
-        out = _lambda_series_coeff(o, _unit_hvec(o, idx), {exps: 1}, k)
+        out = _lambda_series_coeff(o, _simple_coroot(o, idx), {exps: 1}, k)
     _GEN_CACHE[key] = out
     return out
 
@@ -406,15 +396,20 @@ def hyper_mul(o, h1, h2):
 
 
 def quotient_drop_raising(h):
-    """Project a basis-form element modulo the right ideal generated by raisings."""
-    return {m: c for m, c in h.items()
-            if all(kind != E_DP for kind, _i, _e, _k in m)}
+    """Project a basis-form element modulo the right ideal generated by raisings.
+
+    Basis order puts E_DP factors last, so only the last factor is tested.
+    """
+    return {m: c for m, c in h.items() if not m or m[-1][0] != E_DP}
 
 
 def oracle_drop_raising(e):
-    """Same projection at the envelope level: drop words with raising letters."""
+    """Same projection at the envelope level: drop words with raising letters.
+
+    Normal words put raising letters last, so only the last letter is tested.
+    """
     return OracleElt(e.oracle, {w: c for w, c in e.terms.items()
-                                if all(l[0] != RAISE for l in w)}, e.den)
+                                if not w or w[-1][0] != RAISE}, e.den)
 
 
 # -- textual and JSON forms -----------------------------------------------------
@@ -551,12 +546,13 @@ def _check_commutrels2(o, p):
 def _check_commutrels3(o, p):
     i, alpha, sign = p["i"], p["alpha"], p.get("sign", "+")
     a, k, l = tuple(p["a"]), p["k"], p["l"]
+    hvec = _simple_coroot(o, i)
     g = raise_dp(alpha, a, k) if sign == "+" else lower_dp(alpha, a, k)
     dp = expand_gen(o, g)
     pai = o.datum.root_pairing(o.datum.pos_roots[alpha], i)
     shift = k * pai if sign == "+" else -k * pai
-    lhs = _binom_elt(o, _unit_hvec(o, i), 0, l) * dp
-    rhs = dp * _binom_elt(o, _unit_hvec(o, i), shift, l)
+    lhs = _binom_elt(o, hvec, 0, l) * dp
+    rhs = dp * _binom_elt(o, hvec, shift, l)
     return _report(o, p, lhs, rhs)
 
 

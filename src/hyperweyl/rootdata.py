@@ -7,10 +7,8 @@ roots are tuples of integers in simple-root coordinates.  Everything is exact.
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from functools import reduce
 
 from .scalars import solve_exact
 
@@ -66,10 +64,8 @@ class RootDatum:
         self.series = series
         self.rank = rank
         self.cartan = _cartan_matrix(series, rank)
-        self.pos_roots = self._generate_positive_roots()
+        self.pos_roots, self.coroots = self._positive_roots_and_coroots()
         self.root_index = {r: i for i, r in enumerate(self.pos_roots)}
-        self._symmetrizer = self._compute_symmetrizer()
-        self.coroots = tuple(self._coroot(r) for r in self.pos_roots)
 
     def __repr__(self):
         return f"RootDatum({self.series}{self.rank})"
@@ -83,56 +79,26 @@ class RootDatum:
         """beta(h_i) for beta in root coordinates."""
         return sum(self.cartan[i][j] * beta[j] for j in range(self.rank))
 
-    def _generate_positive_roots(self):
-        simple = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for i in range(self.rank):
-                    refl = list(beta)
-                    refl[i] -= self.root_pairing(beta, i)
-                    refl = tuple(refl)
-                    if refl not in seen:
-                        seen.add(refl)
-                        nxt.append(refl)
-            frontier = nxt
-        pos = [r for r in seen if all(c >= 0 for c in r)]
-        pos.sort(key=lambda r: (sum(r), tuple(-c for c in r)))
-        return tuple(pos)
-
-    def _compute_symmetrizer(self):
-        # minimal positive integers d with d_i a_ij = d_j a_ji
+    def _positive_roots_and_coroots(self):
+        # s_i maps beta to beta - beta(h_i) alpha_i and h to h - alpha_i(h) h_i,
+        # alpha_i(h) = sum_j h_j cartan[j][i]; s_i h_beta = h_{s_i beta}
         n = self.rank
-        d = [None] * n
-        d[0] = Fraction(1)
-        changed = True
-        while changed:
-            changed = False
+        roots = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        coroot = dict(zip(roots, roots))  # simple roots and coroots are unit vectors
+        for beta in roots:  # the list grows while it is walked
+            h = coroot[beta]
             for i in range(n):
-                for j in range(n):
-                    if self.cartan[i][j] and d[i] is not None and d[j] is None:
-                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                        changed = True
-        assert all(x is not None for x in d), "Dynkin diagram must be connected"
-        scale = reduce(lambda a, b: a * b.denominator // math.gcd(a, b.denominator), d, 1)
-        d = [int(x * scale) for x in d]
-        g = reduce(math.gcd, d)
-        return tuple(x // g for x in d)
-
-    def _coroot(self, beta):
-        # h_beta = sum c_i h_i with c_i = k_i d_i / d_beta, d_beta = (beta,beta)/2
-        d = self._symmetrizer
-        n = self.rank
-        norm = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                norm += beta[i] * beta[j] * d[i] * self.cartan[i][j]
-        d_beta = norm / 2
-        coeff = tuple(Fraction(beta[i] * d[i]) / d_beta for i in range(n))
-        assert all(c.denominator == 1 for c in coeff)
-        return tuple(int(c) for c in coeff)
+                refl = list(beta)
+                refl[i] -= self.root_pairing(beta, i)
+                refl = tuple(refl)
+                if refl not in coroot:
+                    hr = list(h)
+                    hr[i] -= sum(h[j] * self.cartan[j][i] for j in range(n))
+                    coroot[refl] = tuple(hr)
+                    roots.append(refl)
+        pos = [r for r in coroot if all(c >= 0 for c in r)]
+        pos.sort(key=lambda r: (sum(r), tuple(-c for c in r)))
+        return tuple(pos), tuple(coroot[r] for r in pos)
 
     # -- weights -----------------------------------------------------------
 

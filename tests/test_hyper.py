@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -110,6 +111,23 @@ def test_lambda_poly_root_uses_coroot():
     assert lambda_poly_root(o, theta, b, 1) == -(o.h(0, b) + o.h(1, b))
 
 
+def test_out_of_range_indices_fail_loudly():
+    o = sl2_oracle()
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=f"node index {bad} "):
+            lambda_poly(o, bad, (1,), 1)
+        with pytest.raises(ValueError, match=f"root index {bad} "):
+            lambda_poly_root(o, bad, (1,), 1)
+    with pytest.raises(ValueError, match="node index 4 "):
+        straighten(o, (cartan_binom(4, 1, (0,)),))
+    with pytest.raises(ValueError, match="node index 1 "):
+        expand_gen(o, lambda_gen(1, (1,), 1, (0,)))
+    with pytest.raises(ValueError, match="node index 7 "):
+        lambda_power_reduction(o, 7, (1,), 2, 1)
+    with pytest.raises(ValueError, match="node index -2 "):
+        verify_identity(o, "commutrels3", {"i": -2, "alpha": 0, "a": (1,), "k": 1, "l": 1})
+
+
 def test_lambda_power_reduction_identity_at_k1():
     o = sl2_oracle()
     assert lambda_power_reduction(o, 0, (1,), 1, 2) == {(2,): 1}
@@ -118,6 +136,26 @@ def test_lambda_power_reduction_identity_at_k1():
 def test_lambda_power_reduction_frozen_case():
     o = sl2_oracle()
     assert lambda_power_reduction(o, 0, (1,), 2, 1) == {(2,): 2, (1, 1): -1}
+
+
+def test_lambda_power_reduction_is_the_symmetric_function_identity():
+    # exp(-sum p_s u^s / s) = prod (1 - x u): at numbers x with power sums p_s,
+    # L(a, m) is (-1)^m e_m(x) and L(a^k, r) is (-1)^r e_r(x^k)
+    o = sl2_oracle()
+    xs = (2, -3, 5, 7, -1, 4)
+
+    def e(m, vals):
+        return sum(math.prod(c) for c in itertools.combinations(vals, m))
+
+    for k in range(1, 4):
+        for r in range(1, 4):
+            red = lambda_power_reduction(o, 0, (1,), k, r)
+            got = sum(c * math.prod((-1) ** s * e(s, xs) for s in parts)
+                      for parts, c in red.items())
+            assert got == (-1) ** r * e(r, [x ** k for x in xs])
+    assert lambda_power_reduction(o, 0, (1,), 3, 2) == {
+        (6,): 3, (1, 5): -3, (2, 4): -3, (3, 3): 3, (1, 1, 4): 3, (1, 2, 3): -3,
+        (2, 2, 2): 1}
 
 
 def test_lambda_power_reduction_structure():

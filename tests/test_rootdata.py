@@ -55,6 +55,18 @@ def test_coroots_b2():
     assert by_root[(1, 2)] == (1, 1)
 
 
+@pytest.mark.parametrize("typ", "A1 A2 A5 B2 B3 B5 C2 C3 C4 D4 D6 E6 E7 E8 F4 G2".split())
+def test_coroots_pair_to_two(typ):
+    d = build_root_datum(*parse_type_string(typ))
+    simply_laced = typ[0] in "ADE"
+    for idx, (beta, h) in enumerate(zip(d.pos_roots, d.coroots)):
+        assert sum(h[i] * d.root_pairing(beta, i) for i in range(d.rank)) == 2
+        if idx < d.rank:
+            assert h == beta == tuple(int(j == idx) for j in range(d.rank))
+        if simply_laced:
+            assert h == beta
+
+
 def test_pairing_nonsimple_root():
     d = build_root_datum("B", 2)
     lam = (3, 4)
