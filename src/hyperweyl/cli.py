@@ -14,7 +14,7 @@ from .hyper import (
     IDENTITY_IDS,
     SweepLimits,
     collect,
-    format_monomial,
+    format_hyper,
     hyper_to_json,
     identity_cases,
     lambda_poly,
@@ -127,23 +127,6 @@ def cmd_verify(args):
 
 # -- series expansion --------------------------------------------------------------
 
-def _fmt_basis_elt(o, h):
-    if not h:
-        return "0"
-    bits = []
-    for m in sorted(h):
-        c, ms = h[m], format_monomial(o, m)
-        if not m:
-            bits.append(str(c))
-        elif c == 1:
-            bits.append(ms)
-        elif c == -1:
-            bits.append(f"-{ms}")
-        else:
-            bits.append(f"{c}*{ms}")
-    return " + ".join(bits)
-
-
 def cmd_lambda(args):
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
@@ -165,7 +148,7 @@ def cmd_lambda(args):
         })
     else:
         for r, h in rows:
-            text = _fmt_basis_elt(o, h)
+            text = format_hyper(o, h)
             if len(rows) > 1:
                 print(f"r={r}: {text}")
             else:
@@ -266,31 +249,31 @@ def cmd_weyl(args):
 def cmd_local_weyl(args):
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
-    if args.eval_table:
-        ev = load_eval_table(args.eval_table, algebra)
+    ev = load_eval_table(args.eval_table, algebra) if args.eval_table else None
+    if ev is not None:
         lam = ev.lam
         if args.lam is not None and _int_tuple(args.lam, datum.rank, "--lambda") != lam:
             raise UsageError("--lambda disagrees with the eval table")
         if args.char is not None and args.char != ev.char:
             raise UsageError("--char disagrees with the eval table")
+    elif args.lam is None:
+        raise UsageError("--lambda is required without --eval-table")
     else:
-        if args.lam is None:
-            raise UsageError("--lambda is required without --eval-table")
         lam = _int_tuple(args.lam, datum.rank, "--lambda")
+    window = _resolve_window(datum, lam, args)
+    if ev is None:
         char = args.char if args.char is not None else 0
         if args.eval == "graded":
             ev = EvalData(lam=lam, char=char)
         elif args.eval.startswith("points:"):
             if algebra.spec_string() != "poly:1":
                 raise UsageError("points preset needs --coeff poly:1")
-            window = _resolve_window(datum, lam, args)
             degree = 64 + 8 * (max(window.exp_caps, default=0) + args.max_slack)
             points = _parse_points(args.eval[len("points:"):], datum.rank)
             ev = EvalData(lam=lam, char=char,
                           c=evaluation_table(lam, points, degree))
         else:
             raise UsageError("--eval must be 'graded' or 'points:...'")
-    window = _resolve_window(datum, lam, args)
     res = relation_closure(datum, lam, algebra, ev, window=window,
                            max_slack=args.max_slack)
     return _print_result(res, args)

@@ -168,6 +168,12 @@ def _simple_coroot(o, i):
     return o.datum.coroots[i]
 
 
+def _check_root(o, alpha):
+    """Raise ValueError unless alpha indexes a positive root."""
+    if not 0 <= alpha < len(o.datum.pos_roots):
+        raise ValueError(f"root index {alpha} is outside 0..{len(o.datum.pos_roots) - 1}")
+
+
 def _lambda_series_coeff(o, hvec, combo, r):
     if r < 0:
         raise ValueError("series order must be >= 0")
@@ -199,8 +205,7 @@ def lambda_poly(o, i, a, r):
 
 def lambda_poly_root(o, alpha, a, r):
     """Same series for the coroot of an arbitrary positive root."""
-    if not 0 <= alpha < len(o.datum.pos_roots):
-        raise ValueError(f"root index {alpha} is outside 0..{len(o.datum.pos_roots) - 1}")
+    _check_root(o, alpha)
     return _lambda_series_coeff(o, o.datum.coroots[alpha], _as_combo(a), r)
 
 
@@ -277,6 +282,7 @@ def expand_gen(o, g):
         return got
     kind, idx, exps, k = g
     if kind in (F_DP, E_DP):
+        _check_root(o, idx)
         letter = o.letter(LOWER if kind == F_DP else RAISE, idx, exps)
         out = OracleElt(o, {(letter,) * k: 1}, math.factorial(k))
     elif kind == H_BINOM:
@@ -431,11 +437,20 @@ def format_monomial(o, m):
 
 
 def format_hyper(o, h):
+    """Basis-form text: ±1 coefficients are omitted, a constant term is bare."""
     if not h:
         return "0"
     bits = []
     for m in sorted(h):
-        bits.append(f"{h[m]}*{format_monomial(o, m)}")
+        c, ms = h[m], format_monomial(o, m)
+        if not m:
+            bits.append(str(c))
+        elif c == 1:
+            bits.append(ms)
+        elif c == -1:
+            bits.append(f"-{ms}")
+        else:
+            bits.append(f"{c}*{ms}")
     return " + ".join(bits)
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import solve_exact
-
 
 def _cartan_matrix(series, rank):
     n = rank
@@ -110,9 +108,8 @@ class RootDatum:
     def is_dominant(self, mu):
         return all(c >= 0 for c in mu)
 
-    def pairing(self, mu, beta):
-        """mu(h_beta) for a weight mu and a positive root beta (coords or index)."""
-        idx = beta if isinstance(beta, int) else self.root_index[tuple(beta)]
+    def pairing(self, mu, idx):
+        """mu(h_beta) for a weight mu and the positive root beta of index idx."""
         c = self.coroots[idx]
         return sum(c[i] * mu[i] for i in range(self.rank))
 
@@ -147,11 +144,17 @@ class RootDatum:
                 return mu
 
     def weight_to_root_coords(self, mu):
-        """Solve mu = sum x_j alpha_j exactly; returns Fractions."""
-        n = self.rank
-        cols = [{i: self.cartan[i][j] for i in range(n) if self.cartan[i][j]}
-                for j in range(n)]
-        return tuple(solve_exact(cols, {i: c for i, c in enumerate(mu) if c}))
+        """The x_j of mu = sum x_j alpha_j, as Fractions.
+
+        W acts irreducibly on the Cartan subalgebra, so sum_{beta in Phi}
+        beta(v) h_beta = 2 h v with h = 2|Phi+|/rank the Coxeter number; at the
+        fundamental coweights this reads h x_j = sum_{beta>0} beta_j mu(h_beta).
+        """
+        mu = self.validate_weight(mu)
+        h = 2 * len(self.pos_roots) // self.rank
+        pairs = [self.pairing(mu, idx) for idx in range(len(self.pos_roots))]
+        return tuple(Fraction(sum(beta[j] * c for beta, c in zip(self.pos_roots, pairs)), h)
+                     for j in range(self.rank))
 
     def dominance_leq(self, mu, lam):
         """True iff lam - mu is a nonnegative integer combination of simple roots."""

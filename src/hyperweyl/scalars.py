@@ -150,24 +150,3 @@ class RowSpace:
 
     def contains(self, vec):
         return not self.reduce(vec)
-
-
-def solve_exact(columns, target):
-    """Solve sum_j x_j columns[j] = target over Q; the unique solution as Fractions.
-
-    Columns and target are sparse dicts over mutually comparable row labels.
-    Each column carries an indicator label sorted after every row label: a
-    pivot on an indicator exposes a dependent column, a residue of the target
-    on a row label means no solution, and otherwise the indicator
-    coefficients of the reduced target are the negated unknowns.
-    """
-    space = RowSpace()
-    for j, col in enumerate(columns):
-        row = {(0, label): c for label, c in col.items()}
-        row[(1, j)] = 1
-        if min(space.insert(row))[0]:
-            raise ValueError("reduction system is underdetermined")
-    residue = space.reduce({(0, label): c for label, c in target.items()})
-    if any(kind == 0 for kind, _label in residue):
-        raise ValueError("reduction system is inconsistent")
-    return [-residue.get((1, j), Fraction(0)) for j in range(len(columns))]

@@ -118,6 +118,15 @@ def test_out_of_range_indices_fail_loudly():
             lambda_poly(o, bad, (1,), 1)
         with pytest.raises(ValueError, match=f"root index {bad} "):
             lambda_poly_root(o, bad, (1,), 1)
+        with pytest.raises(ValueError, match=f"root index {bad} "):
+            straighten(o, (lower_dp(bad, (1,), 1),))
+        with pytest.raises(ValueError, match=f"root index {bad} "):
+            expand_gen(o, raise_dp(bad, (0,), 2))
+        for which, p in (("commutrels4", {"a": (1,), "k": 1, "l": 1}),
+                         ("commutrels2", {"k": 1, "l": 1}),
+                         ("basicrel", {"a": (1,), "b": (1,), "r": 1, "s": 1})):
+            with pytest.raises(ValueError, match=f"root index {bad} "):
+                verify_identity(o, which, {"alpha": bad, **p})
     with pytest.raises(ValueError, match="node index 4 "):
         straighten(o, (cartan_binom(4, 1, (0,)),))
     with pytest.raises(ValueError, match="node index 1 "):
@@ -126,6 +135,16 @@ def test_out_of_range_indices_fail_loudly():
         lambda_power_reduction(o, 7, (1,), 2, 1)
     with pytest.raises(ValueError, match="node index -2 "):
         verify_identity(o, "commutrels3", {"i": -2, "alpha": 0, "a": (1,), "k": 1, "l": 1})
+
+
+def test_wrong_length_exponents_fail_loudly():
+    # CoeffAlgebra.mul and pow validate their arguments: zip would truncate
+    # a wrong-length tuple silently
+    o = sl2_oracle()
+    with pytest.raises(ValueError, match="not a basis element"):
+        lambda_poly(o, 0, (1, 2), 1)
+    with pytest.raises(ValueError, match="not a basis element"):
+        xminus_series_dp_coeff(o, 0, (1, 2), (1,), 1, 2)
 
 
 def test_lambda_power_reduction_identity_at_k1():
@@ -457,6 +476,16 @@ def test_hyper_json_roundtrip():
     js = hyper_to_json(o, h)
     assert js == [["1", "-2"], ["F(a1,t1)^(2)", "7"]]
     assert hyper_from_json(o, js) == h
+    assert format_hyper(o, {}) == "0"
+
+
+def test_format_hyper_omits_unit_coefficients():
+    o = sl2_oracle()
+    f, e = (lower_dp(0, (1,), 2),), (raise_dp(0, (0,), 1),)
+    fe = ordered_monomial(f + e)
+    assert format_hyper(o, {(): -3, f: 1, e: -1, fe: 5}) == (
+        "-3 + F(a1,t)^(2) + 5*F(a1,t)^(2) E(a1,1)^(1) + -E(a1,1)^(1)")
+    assert format_hyper(o, {(): 1}) == "1"
     assert format_hyper(o, {}) == "0"
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,37 @@ def test_weight_to_root_coords():
     cart = d.cartan
     alpha1_wt = tuple(cart[i][0] for i in range(2))
     assert d.weight_to_root_coords(alpha1_wt) == (Fraction(1), Fraction(0))
+    for bad in ((1, 1, 7), (1,)):
+        with pytest.raises(ValueError, match="not an integral weight"):
+            d.weight_to_root_coords(bad)
+    with pytest.raises(ValueError, match="not an integral weight"):
+        d.dominance_leq((0,), (1, 1))
+
+
+@pytest.mark.parametrize("typ", "A1 A2 A3 A5 B2 B3 B5 C2 C3 C4 D4 D6 E6 E7 E8 F4 G2".split())
+def test_root_coords_recombine_to_the_weight(typ):
+    # alpha_j has weight coordinates cartan[i][j], so the check needs no solver
+    d = build_root_datum(*parse_type_string(typ))
+    r = 2 if d.rank <= 4 else 1
+    for mu in itertools.product(range(-r, r + 1), repeat=d.rank):
+        x = d.weight_to_root_coords(mu)
+        assert all(isinstance(c, Fraction) for c in x)
+        assert tuple(sum(x[j] * d.cartan[i][j] for j in range(d.rank))
+                     for i in range(d.rank)) == mu
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2"])
+def test_dominance_matches_bounded_search(typ):
+    d = build_root_datum(*parse_type_string(typ))
+    # differences of weights in [-2,2]^2 have simple-root coordinates of
+    # absolute value at most 20 (G2: omega_1 = 2a1+a2, omega_2 = 3a1+2a2)
+    below = {tuple(sum(n[j] * d.cartan[i][j] for j in range(2)) for i in range(2))
+             for n in itertools.product(range(25), repeat=2)}
+    box = list(itertools.product(range(-2, 3), repeat=2))
+    for mu in box:
+        for lam in box:
+            diff = tuple(l - m for l, m in zip(lam, mu))
+            assert d.dominance_leq(mu, lam) == (diff in below), (mu, lam)
 
 
 def test_dominance_order():

@@ -9,7 +9,6 @@ from hyperweyl.scalars import (
     NotPIntegralError,
     RowSpace,
     reduce_mod_p,
-    solve_exact,
     vec_add_scaled,
 )
 
@@ -117,18 +116,3 @@ def test_rowspace_char_p_coercion():
             RowSpace(char=char).insert({0: 0.5})
     with pytest.raises(NotPIntegralError):
         space.insert({0: Fraction(1, 3)})
-
-
-def test_solve_exact_unique_underdetermined_inconsistent():
-    # x (1, 1) + y (1, -1) = (3, 1) over string row labels
-    cols = [{"a": 1, "b": 1}, {"a": 1, "b": -1}]
-    assert solve_exact(cols, {"a": 3, "b": 1}) == [Fraction(2), Fraction(1)]
-    # an absent unknown is an explicit zero; extra rows are fine when consistent
-    cols = [{"a": 2}, {"b": 1, "c": 1}]
-    sol = solve_exact(cols, {"a": 1})
-    assert sol == [Fraction(1, 2), Fraction(0)]
-    assert all(isinstance(x, Fraction) for x in sol)
-    with pytest.raises(ValueError, match="underdetermined"):
-        solve_exact([{"a": 1, "b": 2}, {"a": 2, "b": 4}], {"a": 1, "b": 2})
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_exact([{"a": 1}], {"a": 1, "b": 1})
