@@ -1,12 +1,14 @@
 """Command-line frontend: identity sweeps, series expansion, module dimensions.
 
 Exit codes: 0 success / all checks pass, 1 at least one verification failure,
-2 usage or input error, 3 result not stabilized and --allow-unstable absent.
+2 usage or input error, 3 result not stabilized and --allow-unstable absent,
+4 stdout closed before all output was written (a reader such as `head` quit).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coeffalg import CoeffAlgebra
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
+EXIT_PIPE = 4
 
 
 class UsageError(ValueError):
@@ -399,10 +402,18 @@ def main(argv=None):
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return rc
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone; on devnull the flush at shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

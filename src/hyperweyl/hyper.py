@@ -409,15 +409,6 @@ def quotient_drop_raising(h):
     return {m: c for m, c in h.items() if not m or m[-1][0] != E_DP}
 
 
-def oracle_drop_raising(e):
-    """Same projection at the envelope level: drop words with raising letters.
-
-    Normal words put raising letters last, so only the last letter is tested.
-    """
-    return OracleElt(e.oracle, {w: c for w, c in e.terms.items()
-                                if not w or w[-1][0] != RAISE}, e.den)
-
-
 # -- textual and JSON forms -----------------------------------------------------
 
 def format_gensym(o, g):
@@ -512,8 +503,8 @@ def _check_basicrel(o, p):
     if not 1 <= r <= s:
         raise ValueError("requires 1 <= r <= s")
     A = o.algebra
-    lhs = oracle_drop_raising(
-        expand_gen(o, raise_dp(alpha, a, r)) * expand_gen(o, lower_dp(alpha, b, s)))
+    lhs = o.mul_mod_raising(expand_gen(o, raise_dp(alpha, a, r)),
+                            expand_gen(o, lower_dp(alpha, b, s)))
     ab = A.mul(a, b)
     rhs = o.zero()
     for j in range(r + 1):

@@ -14,11 +14,14 @@ Normal form is the naive rewriting x y -> y x + [x, y] applied until every
 word is weakly increasing.  One fold does all of it: `Oracle._fold` inserts
 the letters of a word right to left into a sparse combination of normal
 words, and the memoized `_insert` of one letter into a normal word is itself
-a one-letter fold plus bracket terms.  Every other sparse sum goes through
-`scalars.vec_add_scaled`.  All structure constants are integers, so words
-carry integer coefficients and rationals enter only through divided powers.
-An element therefore stores integer numerators over one positive common
-denominator, kept in lowest terms, and every product and sum stays in integers.
+a one-letter fold plus bracket terms.  `mul_mod_raising` folds modulo the
+left ideal U·n+ of raising letters: the normal words ending in a raising
+letter span it, so dropping them after every letter is exact.  Every other
+sparse sum goes through `scalars.vec_add_scaled`.  All structure constants are
+integers, so words carry integer coefficients and rationals enter only through
+divided powers.  An element therefore stores integer numerators over one
+positive common denominator, kept in lowest terms, and every product and sum
+stays in integers.
 """
 from __future__ import annotations
 
@@ -168,6 +171,7 @@ class Oracle:
         self.algebra = algebra
         self.table = ChevalleyTable(datum)
         self._insert_cache = {}
+        self._insert_mod_cache = {}
         self._bracket_cache = {}
 
     # -- letters and constructors -------------------------------------------
@@ -217,12 +221,12 @@ class Oracle:
 
     # -- normal form ----------------------------------------------------------
 
-    def _fold(self, word, part):
+    def _fold(self, insert, word, part):
         """Normal form of word * part, part a dict normal word -> int.
 
-        Folds the letters of word into part right to left.  Never writes into
-        part or into a cached value; an empty word returns part itself, so
-        callers only read the result.
+        Folds the letters of word into part right to left with insert (an
+        `_insert*` method).  Never writes into part or into a cached value; an
+        empty word returns part itself, so callers only read the result.
         """
         for x in reversed(word):
             nxt = {}
@@ -230,7 +234,7 @@ class Oracle:
                 # the hottest loop of the package, kept inline: a vec_add_scaled
                 # call per word made local_weyl 0.3% slower in 7 of 8 bench pairs
                 # and identity_sweep no faster
-                for wz, cz in self._insert(x, w).items():
+                for wz, cz in insert(x, w).items():
                     s = nxt.get(wz, 0) + c * cz
                     if s:
                         nxt[wz] = s
@@ -243,28 +247,49 @@ class Oracle:
         """Normal form of x * word (word already normal); dict word -> int."""
         if not word or x <= word[0]:
             return {(x,) + word: 1}
-        key = (x, word)
-        got = self._insert_cache.get(key)
-        if got is not None:
-            return got
-        # x y rest = y (x rest) + [x, y] rest
+        got = self._insert_cache.get((x, word))
+        if got is None:
+            got = self._commute(self._insert, self._insert_cache, x, word)
+        return got
+
+    def _insert_mod(self, x, word):
+        """Normal form of x * word modulo U·n+, word normal and raising-free."""
+        if x[0] != RAISE:
+            return self._insert(x, word)  # stays raising-free
+        if not word:
+            return {}
+        got = self._insert_mod_cache.get((x, word))
+        if got is None:
+            got = self._commute(self._insert_mod, self._insert_mod_cache, x, word)
+        return got
+
+    def _commute(self, insert, cache, x, word):
+        """Memoize x y rest = y (x rest) + [x, y] rest, x > y = word[0] not raising."""
         y, rest = word[0], word[1:]
-        out = self._fold((y,), self._insert(x, rest))
+        out = self._fold(self._insert, (y,), insert(x, rest))
         for z, cz in self.bracket_letters(x, y):
-            vec_add_scaled(out, self._insert(z, rest), cz)
-        self._insert_cache[key] = out
+            vec_add_scaled(out, insert(z, rest), cz)
+        cache[(x, word)] = out
         return out
 
     def nf_word(self, word):
         """Normal form of an arbitrary word as an OracleElt."""
-        return OracleElt(self, self._fold(tuple(word), {(): 1}))
+        return OracleElt(self, self._fold(self._insert, tuple(word), {(): 1}))
 
     def mul(self, e1, e2):
+        return self._product(self._insert, e1, e2.terms, e2.den)
+
+    def mul_mod_raising(self, e1, e2):
+        """e1 * e2 modulo the left ideal U·n+: the raising-free part of e1 * e2."""
+        part = {w: c for w, c in e2.terms.items() if not w or w[-1][0] != RAISE}
+        return self._product(self._insert_mod, e1, part, e2.den)
+
+    def _product(self, insert, e1, part, den):
         # the fold is linear: each left word goes into the whole right factor
         out = {}
         for w1, c1 in e1.terms.items():
-            vec_add_scaled(out, self._fold(w1, e2.terms), c1)
-        return OracleElt(self, out, e1.den * e2.den)
+            vec_add_scaled(out, self._fold(insert, w1, part), c1)
+        return OracleElt(self, out, e1.den * den)
 
     # -- gradings and formatting ----------------------------------------------
 

@@ -6,8 +6,9 @@ series coefficients through a user table), and killed by (x^-_beta ⊗ 1)^(s)
 for s beyond the weight pairing.  The engine spans the quotient by pure
 lowering monomials inside a finite window, saturates the relation ideal by
 exact linear algebra, and reads off dimension and character.  Raising powers
-are only applied where their result can lie at or below the weight, and only
-the raising-free part of each product is straightened.
+are only applied where their result can lie at or below the weight, and each
+product is straightened modulo the left ideal U·n+ that kills w, dropping a
+word as soon as it ends in a raising letter (such normal words span U·n+).
 
 All vectors here are dicts mapping pure-lowering monomials to scalars.
 """
@@ -26,7 +27,6 @@ from .hyper import (
     expand_monomial,
     lower_dp,
     monomial_weight_drop,
-    oracle_drop_raising,
     raise_dp,
 )
 from .oracle import get_oracle
@@ -162,13 +162,13 @@ def _evaluate_on_highest(o, ev, m):
 def apply_relations(o, v, g, ev):
     """Value on w of g acting on the lowering monomial v, as a sparse vector.
 
-    Words with a raising letter are dropped before `collect`: in normal form
-    they are exactly the words of basis monomials with a raising factor, which
-    die on w, and `collect` never mixes them with the raising-free words.  So
-    only the surviving part is straightened, and `collect` still certifies
-    every coefficient that is kept as an integer.
+    The product is formed modulo the left ideal U·n+ (`Oracle.mul_mod_raising`):
+    normal words with a raising letter are exactly those ending in one, they
+    span U·n+ and die on w, so each is dropped as soon as it appears and never
+    straightened further.  `collect` never mixes them with the raising-free
+    words, so it still certifies every kept coefficient as an integer.
     """
-    prod = collect(o, oracle_drop_raising(expand_gen(o, g) * expand_monomial(o, v)))
+    prod = collect(o, o.mul_mod_raising(expand_gen(o, g), expand_monomial(o, v)))
     out = {}
     for m, c in prod.items():
         got = _evaluate_on_highest(o, ev, m)

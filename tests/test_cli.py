@@ -1,6 +1,10 @@
 """End-to-end command tests: output text, JSON schemas, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from hyperweyl import cli, hyper
 from hyperweyl.cli import (
     EXIT_FAIL,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_UNSTABLE,
     EXIT_USAGE,
     SweepLimits,
@@ -376,3 +381,22 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_nondominant_weight_rejected(capsys):
     code, _, err = run(capsys, "weyl", "--type", "A1", "--lambda", "-1")
     assert code == EXIT_USAGE and err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--id", "basicrel", "--type", "A1", "--json"],
+                                  ["local-weyl", "--type", "A1", "--lambda", "2", "--json"]],
+                         ids=["verify", "local-weyl"])
+@pytest.mark.parametrize("nbytes", [0, 1])
+def test_closed_stdout_exits_without_traceback(argv, nbytes):
+    # the reader takes nbytes and closes the pipe, as `| head -c 1` does; with
+    # nbytes == 0 it is closed before the command starts, so the write must fail
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "hyperweyl.cli", *argv], stdout=write_end,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as out:
+        assert out.read(nbytes) == b"{"[:nbytes]
+    _, err = proc.communicate(timeout=120)
+    assert err == b"", err.decode()
+    assert proc.returncode in ((EXIT_PIPE,) if nbytes == 0 else (EXIT_OK, EXIT_PIPE))

@@ -233,3 +233,29 @@ def test_collect_round_trips_integer_combinations(o, data):
     else:
         with pytest.raises(NotInZFormError):
             collect(o, Fraction(1, q) * e)
+
+
+def drop_raising(e):
+    """The raising-free part of e: normal words with a raising letter end in one."""
+    return OracleElt(e.oracle, {w: c for w, c in e.terms.items()
+                                if not w or w[-1][0] != RAISE}, e.den)
+
+
+@pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_product_modulo_raising_ideal_drops_raising_words(o, data):
+    letters = letters_of(o)
+    raising = [l for l in letters if l[0] == RAISE]
+    lowering_cartan = [l for l in letters if l[0] != RAISE]
+    x = data.draw(elements(o), label="e1")
+    # e2 always has a word ending in a raising letter, among any others
+    head = data.draw(st.lists(st.sampled_from(letters), max_size=2), label="head")
+    y = data.draw(elements(o), label="e2") + o.nf_word(
+        head + [data.draw(st.sampled_from(raising), label="tail")])
+    assert o.mul_mod_raising(x, y) == drop_raising(x * y)
+    # lowering and Cartan letters keep a raising-free word raising-free
+    word = tuple(sorted(data.draw(st.lists(st.sampled_from(lowering_cartan), max_size=3),
+                                  label="word")))
+    z = data.draw(st.sampled_from(lowering_cartan), label="letter")
+    assert all(l[0] != RAISE for w in o._insert(z, word) for l in w)

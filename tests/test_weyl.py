@@ -9,11 +9,10 @@ from hyperweyl.hyper import (
     expand_monomial,
     lower_dp,
     monomial_weight_drop,
-    oracle_drop_raising,
     quotient_drop_raising,
     raise_dp,
 )
-from hyperweyl.oracle import get_oracle
+from hyperweyl.oracle import RAISE, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import vec_add_scaled
 from hyperweyl.weyl import (
@@ -35,6 +34,7 @@ from hyperweyl.weyl import (
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
 P1 = CoeffAlgebra("poly", 1)
+P2 = CoeffAlgebra("poly", 2)
 
 
 def graded(lam, char=0):
@@ -201,25 +201,28 @@ def test_apply_relations_annihilator_only_rightmost():
     assert out == {}, "rightmost over-cap lowering power annihilates"
 
 
-@pytest.mark.parametrize("datum,lam", [(A1, (2,)), (A2, (1, 1))])
-def test_raising_shortcuts_are_exact(datum, lam):
-    # phase 1 drops raising words before collect and skips E(i,b)^(rho) on
-    # targets whose drop in coordinate i is below rho; both must be exact
-    o = get_oracle(datum, P1)
+def check_raising_shortcuts(datum, lam, alg):
+    # phase 1 straightens modulo the left ideal of raising letters and skips
+    # E(i,b)^(rho) on targets whose drop in coordinate i is below rho; both
+    # must be exact
+    o = get_oracle(datum, alg)
     ev = graded(lam)
     base = default_window(datum, lam)
     window = Window(tuple(c + 1 for c in base.exp_caps),
                     tuple(c + 1 for c in base.drop_cap))
-    mons = spanning_set(datum, lam, P1, window)
+    mons = spanning_set(datum, lam, alg, window)
     gens = [raise_dp(i, b, rho) for i in range(datum.rank)
-            for b in sorted(P1.monomials_up_to_deg(3)) for rho in range(1, 4)]
+            for b in sorted(alg.monomials_up_to_deg(3)) for rho in range(1, 4)]
     pruned = 0
     for v in mons:
         drop = monomial_weight_drop(o, v)
         for g in gens:
             prod = expand_gen(o, g) * expand_monomial(o, v)
             full = collect(o, prod)
-            assert collect(o, oracle_drop_raising(prod)) == quotient_drop_raising(full)
+            kept = OracleElt(o, {w: c for w, c in prod.terms.items()
+                                 if not w or w[-1][0] != RAISE}, prod.den)
+            assert o.mul_mod_raising(expand_gen(o, g), expand_monomial(o, v)) == kept
+            assert collect(o, kept) == quotient_drop_raising(full)
             on_w = {}
             for m, c in full.items():
                 got = _evaluate_on_highest(o, ev, m)
@@ -230,6 +233,15 @@ def test_raising_shortcuts_are_exact(datum, lam):
                 pruned += 1
                 assert on_w == {}, (g, v)
     assert pruned
+
+
+@pytest.mark.parametrize("datum,lam", [(A1, (2,)), (A2, (1, 1))])
+def test_raising_shortcuts_are_exact(datum, lam):
+    check_raising_shortcuts(datum, lam, P1)
+
+
+def test_raising_shortcuts_are_exact_over_two_variables():
+    check_raising_shortcuts(A1, (1,), P2)
 
 
 # -- graded local closures -----------------------------------------------------------
