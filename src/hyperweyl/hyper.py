@@ -402,9 +402,10 @@ def hyper_mul(o, h1, h2):
 
 
 def quotient_drop_raising(h):
-    """Project a basis-form element modulo the right ideal generated by raisings.
+    """Project a basis-form element modulo the left ideal U·n+ of raisings.
 
-    Basis order puts E_DP factors last, so only the last factor is tested.
+    Basis order puts E_DP factors last, and the monomials ending in one span
+    U·n+, so only the last factor is tested.
     """
     return {m: c for m, c in h.items() if not m or m[-1][0] != E_DP}
 

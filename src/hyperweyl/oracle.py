@@ -57,18 +57,14 @@ class ChevalleyTable:
         if datum.series != "A":
             raise ValueError(f"structure constants implemented for type A only, got {datum.type_string()}")
         self.datum = datum
-        n = datum.rank
-        self._gmat = {}
-        spans = {}
+        gmat = {(CARTAN, i): {(i, i): 1, (i + 1, i + 1): -1} for i in range(datum.rank)}
         for idx, beta in enumerate(datum.pos_roots):
             i = beta.index(1)
             j = i + sum(beta)
-            spans[idx] = (i, j)
-            self._gmat[(RAISE, idx)] = {(i, j): 1}
-            self._gmat[(LOWER, idx)] = {(j, i): 1}
-        for i in range(n):
-            self._gmat[(CARTAN, i)] = {(i, i): 1, (i + 1, i + 1): -1}
-        self._cache = {}
+            gmat[(RAISE, idx)] = {(i, j): 1}
+            gmat[(LOWER, idx)] = {(j, i): 1}
+        self._brackets = {(g1, g2): self._decompose(_mat_commutator(m1, m2))
+                          for g1, m1 in gmat.items() for g2, m2 in gmat.items()}
 
     def _decompose(self, mat):
         """Write an sl-matrix in the Chevalley basis; returns ((gsym, int), ...)."""
@@ -92,10 +88,7 @@ class ChevalleyTable:
 
     def bracket(self, g1, g2):
         """[g1, g2] as an integer combination of Chevalley symbols."""
-        key = (g1, g2)
-        if key not in self._cache:
-            self._cache[key] = self._decompose(_mat_commutator(self._gmat[g1], self._gmat[g2]))
-        return self._cache[key]
+        return self._brackets[(g1, g2)]
 
 
 class OracleElt:
@@ -291,21 +284,7 @@ class Oracle:
             vec_add_scaled(out, self._fold(insert, w1, part), c1)
         return OracleElt(self, out, e1.den * den)
 
-    # -- gradings and formatting ----------------------------------------------
-
-    def word_weight_drop(self, word):
-        """Weight drop of a word in simple-root coordinates (lowering counts +)."""
-        drop = [0] * self.datum.rank
-        for block, idx, _deg, _exps in word:
-            if block == CARTAN:
-                continue
-            sign = 1 if block == LOWER else -1
-            for i, c in enumerate(self.datum.pos_roots[idx]):
-                drop[i] += sign * c
-        return tuple(drop)
-
-    def word_adeg(self, word):
-        return sum(l[2] for l in word)
+    # -- formatting -----------------------------------------------------------
 
     def format_letter(self, l):
         block, idx, _deg, exps = l

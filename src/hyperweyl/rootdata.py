@@ -216,15 +216,9 @@ class RootDatum:
         return self.root_index[coords]
 
 
-_DATUM_CACHE = {}
-
-
 def build_root_datum(series, rank):
-    """Root datum for a simple type, e.g. build_root_datum("A", 2); cached."""
-    key = (series, rank)
-    if key not in _DATUM_CACHE:
-        _DATUM_CACHE[key] = RootDatum(series, rank)
-    return _DATUM_CACHE[key]
+    """Root datum for a simple type, e.g. build_root_datum("A", 2)."""
+    return RootDatum(series, rank)
 
 
 def parse_type_string(s):

@@ -15,17 +15,26 @@ class NotPIntegralError(ValueError):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin on the prime bases 2..41.
+
+    Exact for n < psi_13 = 3317044064679887385961981 (Sorenson-Webster, Math.
+    Comp. 86, 2017) and a ValueError from there on; the bases 2..37 alone
+    pass the composite psi_12 = 399165290221 * 798330580441.
+    """
+    psi_13 = 3317044064679887385961981
+    if n >= psi_13:
+        raise ValueError(f"primality is only decided below psi_13 = {psi_13}, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for p in bases:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -75,16 +84,6 @@ def vec_add_scaled(acc, vec, c):
     return acc
 
 
-def _vec_add_scaled_mod(acc, vec, c, p):
-    """acc += c * vec over F_p, in place, keeping residues in [1, p)."""
-    for label, v in vec.items():
-        s = (acc.get(label, 0) + c * v) % p
-        if s:
-            acc[label] = s
-        else:
-            acc.pop(label, None)
-
-
 class RowSpace:
     """Sparse reduced row-echelon span over Q (char 0) or F_p (char p).
 
@@ -105,6 +104,19 @@ class RowSpace:
     def rank(self):
         return len(self.rows)
 
+    def _add_scaled(self, acc, vec, c):
+        """acc += c * vec in place, in this field (entries reduced mod p in char p)."""
+        p = self.char
+        for label, v in vec.items():
+            s = acc.get(label, 0) + c * v
+            if p:
+                s %= p
+            if s:
+                acc[label] = s
+            else:
+                acc.pop(label, None)
+        return acc
+
     def reduce(self, vec):
         """Return vec reduced against the current rows (no insertion)."""
         p = self.char
@@ -116,10 +128,7 @@ class RowSpace:
         for label in sorted(v, key=self.key):
             c = v.get(label)
             if c and label in self.rows:
-                if p:
-                    _vec_add_scaled_mod(v, self.rows[label], -c, p)
-                else:
-                    vec_add_scaled(v, self.rows[label], -c)
+                self._add_scaled(v, self.rows[label], -c)
         return v
 
     def insert(self, vec):
@@ -130,21 +139,12 @@ class RowSpace:
         v = self.reduce(vec)
         if not v:
             return v
-        p = self.char
         pivot = min(v, key=self.key)
-        if p:
-            inv = pow(v[pivot], -1, p)
-            v = {label: inv * c % p for label, c in v.items()}
-        else:
-            inv = 1 / v[pivot]
-            v = {label: inv * c for label, c in v.items()}
+        v = self._add_scaled({}, v, _coerce(Fraction(1, v[pivot]), self.char))
         for row in self.rows.values():
             c = row.get(pivot)
             if c:
-                if p:
-                    _vec_add_scaled_mod(row, v, -c, p)
-                else:
-                    vec_add_scaled(row, v, -c)
+                self._add_scaled(row, v, -c)
         self.rows[pivot] = v
         return v
 

@@ -14,6 +14,7 @@ All vectors here are dicts mapping pure-lowering monomials to scalars.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,9 +66,14 @@ class Window:
             raise ValueError(f"exponent caps must be >= -1, got {self.exp_caps}")
 
 
-def _checked_window(datum, lam, window):
-    """The window, or the default one for lam; ValueError unless it has one
+def _checked_window(datum, lam, algebra, window):
+    """The window, or the default one for lam; ValueError unless lam is
+    dominant, the coefficients are polynomial, and the window has one
     exponent cap per positive root and one drop cap per simple root."""
+    if not datum.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    if algebra.kind != "poly":
+        raise ValueError("windows require polynomial coefficients")
     if window is None:
         return default_window(datum, lam)
     if len(window.exp_caps) != len(datum.pos_roots):
@@ -97,14 +103,16 @@ class EvalData:
     lam: tuple
     char: int = 0
     c: dict = field(default_factory=dict)
-    name: str = "graded"
 
     def __post_init__(self):
         self.lam = tuple(self.lam)
         if self.char != 0 and not is_prime(self.char):
             raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
-        if self.c and self.name == "graded":
-            self.name = "table"
+
+    @property
+    def name(self):
+        """The table's name in results: "graded" when it is empty, else "table"."""
+        return "table" if self.c else "graded"
 
     def validate(self, datum, algebra):
         if len(self.lam) != datum.rank or any(x < 0 for x in self.lam):
@@ -211,11 +219,7 @@ def _lowering_monomials(o, caps, drop_cap):
 
 def spanning_set(datum, lam, algebra, window=None):
     """Pure-lowering monomials spanning the quotient (the base window)."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    if algebra.kind != "poly":
-        raise ValueError("spanning windows require polynomial coefficients")
-    window = _checked_window(datum, lam, window)
+    window = _checked_window(datum, lam, algebra, window)
     o = get_oracle(datum, algebra)
     return sorted(_lowering_monomials(o, window.exp_caps, window.drop_cap))
 
@@ -293,15 +297,9 @@ def _closure_pass(datum, lam, algebra, ev, window, slack):
             for rho in range(1, cap + 1):
                 gens.append(raise_dp(i, b, rho))
 
-    ev_cache = {}
-
+    @functools.cache
     def ev_gm(g, m):
-        key = (g, m)
-        got = ev_cache.get(key)
-        if got is None:
-            got = apply_relations(o, m, g, ev)
-            ev_cache[key] = got
-        return got
+        return apply_relations(o, m, g, ev)
 
     # phase 1: saturate the seed span under the raising sweep
     core_spaces = {}
@@ -331,15 +329,10 @@ def _closure_pass(datum, lam, algebra, ev, window, slack):
     # product is itself a vector that dies on w, so no evaluation happens here;
     # in particular the bare seeds enter through the empty left factor.
     spaces = {}
-    lprod_cache = {}
 
+    @functools.cache
     def left_product(lmon, m):
-        key = (lmon, m)
-        got = lprod_cache.get(key)
-        if got is None:
-            got = collect(o, expand_monomial(o, lmon) * expand_monomial(o, m))
-            lprod_cache[key] = got
-        return got
+        return collect(o, expand_monomial(o, lmon) * expand_monomial(o, m))
 
     # only blocks inside the base drop cap can cut base monomials, and left
     # multiplication never lowers the drop, so deeper rows are dead weight
@@ -408,16 +401,12 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     pass runs, and the result is not stabilized.
     """
     lam = tuple(lam)
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    if algebra.kind != "poly":
-        raise ValueError("relation closure requires polynomial coefficients")
+    window = _checked_window(datum, lam, algebra, window)
     if eval_data is None:
         eval_data = EvalData(lam=lam)
     if tuple(eval_data.lam) != lam:
         raise ValueError("eval table weight differs from the module weight")
     eval_data.validate(datum, algebra)
-    window = _checked_window(datum, lam, window)
     if max_slack < window.slack:
         raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 

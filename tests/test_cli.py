@@ -65,6 +65,22 @@ def test_lambda_upto(capsys):
     assert out.splitlines() == ["r=0: 1", "r=1: L(1,t,1)", "r=2: L(1,t,2)"]
 
 
+@pytest.mark.parametrize("typ, a", [("A1", "t"), ("A2", "1")])
+def test_lambda_json_round_trips(capsys, typ, a):
+    code, out, _ = run(capsys, "lambda", "--type", typ, "--i", "1", "--a", a,
+                       "--upto", "3", "--json")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert set(obj) == {"type", "coeff", "i", "a", "orders"}
+    assert (obj["type"], obj["coeff"], obj["i"], obj["a"]) == (typ, "poly:1", 1, a)
+    assert [e["r"] for e in obj["orders"]] == [0, 1, 2, 3]
+    o = get_oracle(build_root_datum(typ[0], int(typ[1:])), CoeffAlgebra("poly", 1))
+    for e in obj["orders"]:
+        assert set(e) == {"r", "element"}
+        want = hyper.collect(o, hyper.lambda_poly(o, 0, o.algebra.parse(a), e["r"]))
+        assert hyper.hyper_from_json(o, e["element"]) == want
+
+
 @pytest.mark.parametrize("flag", ["--upto", "--r"])
 def test_lambda_negative_upto(capsys, flag):
     code, out, err = run(capsys, "lambda", "--a", "t", flag, "-1")
@@ -344,6 +360,34 @@ def test_bad_window_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and not out
     assert named in err
+
+
+PSI_12 = "318665857834031151167461"  # a strong pseudoprime to the bases 2..37
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("weyl", "--type", "A2", "--lambda", "1,x"),
+     "--lambda must be a comma-separated integer list"),
+    (("lambda", "--i", "0"), "node index must be in 1..1"),
+    (("local-weyl", "--eval-table", "{missing}"), "cannot read eval table"),
+    (("local-weyl", "--lambda", "1", "--eval", "points:1/2"),
+     "points preset needs 1 node group(s)"),
+    (("local-weyl", "--lambda", "1", "--eval", "points:x"), "points must be integers"),
+    (("local-weyl", "--eval-table", "{table}", "--char", "3"),
+     "--char disagrees with the eval table"),
+    (("local-weyl", "--lambda", "1", "--eval", "bogus"),
+     "--eval must be 'graded' or 'points:...'"),
+    (("weyl", "--type", "A1", "--lambda", "1", "--char", PSI_12),
+     "characteristic must be 0 or prime"),
+    (("weyl", "--lambda", "1", "--char", "3317044064679887385961981"),
+     "primality is only decided below"),
+])
+def test_usage_error_names_its_cause(capsys, tmp_path, argv, named):
+    table = table_file(tmp_path, {"lambda": [1], "c": [], "field": {"char": 5}})
+    argv = [arg.format(missing=tmp_path / "missing.json", table=table) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and not out
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
 def test_bad_type_string(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperweyl.coeffalg import TRIVIAL, CoeffAlgebra
+from hyperweyl.hyper import collect, lower_dp, monomial_adeg, monomial_weight_drop, raise_dp
 from hyperweyl.oracle import CARTAN, LOWER, RAISE, get_oracle
 from hyperweyl.rootdata import build_root_datum
 
@@ -134,13 +135,13 @@ def test_mul_associative_random():
 
 def test_mul_respects_weight_and_degree():
     o = get_oracle(build_root_datum("A", 2), POLY1)
-    w1 = (o.letter(RAISE, 0, (1,)),)
-    w2 = (o.letter(LOWER, 2, (2,)),)
-    prod = o.nf_word(w1 + w2)
-    want = tuple(a + b for a, b in zip(o.word_weight_drop(w1), o.word_weight_drop(w2)))
-    for w in prod.terms:
-        assert o.word_weight_drop(w) == want
-        assert o.word_adeg(w) == 3
+    e, f = (raise_dp(0, (1,), 1),), (lower_dp(2, (2,), 1),)
+    prod = collect(o, o.x_plus(0, (1,)) * o.x_minus(2, (2,)))
+    want = tuple(a + b for a, b in zip(monomial_weight_drop(o, e), monomial_weight_drop(o, f)))
+    assert len(prod) == 2  # f * e and the bracket term
+    for m in prod:
+        assert monomial_weight_drop(o, m) == want
+        assert monomial_adeg(o, m) == 3
 
 
 def test_elt_arithmetic_and_errors():

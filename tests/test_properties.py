@@ -3,7 +3,10 @@ and of the integer-numerator envelope elements everything else is built on."""
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,32 @@ def test_product_modulo_raising_ideal_drops_raising_words(o, data):
                                   label="word")))
     z = data.draw(st.sampled_from(lowering_cartan), label="letter")
     assert all(l[0] != RAISE for w in o._insert(z, word) for l in w)
+
+
+PLANTED = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_planted_failure(n):
+    assert n < 10
+
+
+def test_after_the_failure():
+    pass
+'''
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # a failing property must print its falsifying example under the repo's
+    # warnings-as-errors settings and let the session go on to the next test
+    (tmp_path / "test_planted.py").write_text(PLANTED)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-v", "test_planted.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
+    assert "test_after_the_failure PASSED" in out

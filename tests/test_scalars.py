@@ -8,6 +8,7 @@ import pytest
 from hyperweyl.scalars import (
     NotPIntegralError,
     RowSpace,
+    is_prime,
     reduce_mod_p,
     vec_add_scaled,
 )
@@ -116,3 +117,21 @@ def test_rowspace_char_p_coercion():
             RowSpace(char=char).insert({0: 0.5})
     with pytest.raises(NotPIntegralError):
         space.insert({0: Fraction(1, 3)})
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_miller_rabin_branch():
+    # above the trial-division bases, so each runs the Miller-Rabin rounds
+    for p in (41, 10**9 + 7, 2**61 - 1):
+        assert is_prime(p)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, PSI_12):
+        assert not is_prime(n)
+    # the bound is sharp: just below it is decided, from psi_13 on it raises
+    assert not is_prime(PSI_13 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(n)
