@@ -239,16 +239,6 @@ def _print_result(res, args):
     return EXIT_OK
 
 
-def cmd_weyl(args):
-    datum = _datum(args.type)
-    lam = _int_tuple(args.lam, datum.rank, "--lambda")
-    window = _resolve_window(datum, lam, args)
-    ev = EvalData(lam=lam, char=args.char)
-    res = relation_closure(datum, lam, CoeffAlgebra("poly", 0), ev,
-                           window=window, max_slack=args.max_slack)
-    return _print_result(res, args)
-
-
 def cmd_local_weyl(args):
     datum = _datum(args.type)
     algebra = _algebra(args.coeff)
@@ -368,7 +358,8 @@ def build_parser():
                    help="dominant weight, comma list")
     w.add_argument("--char", type=int, default=0)
     _add_window(w)
-    w.set_defaults(fn=cmd_weyl)
+    # the graded module over the trivial coefficient algebra
+    w.set_defaults(fn=cmd_local_weyl, coeff="poly:0", eval="graded", eval_table=None)
 
     lw = sub.add_parser("local-weyl", help="local Weyl module of a map algebra")
     _add_common(lw)

@@ -1,7 +1,8 @@
 """Rational PBW oracle for the universal envelope of g tensor a coefficient algebra.
 
-Basis vectors of g are Chevalley generators realized as matrix units (A series
-only); a Lie word is a tuple of letters
+Basis vectors of g are Chevalley generators of a simply-laced type (A, D, E),
+with structure constants read off the root datum; a Lie word is a tuple of
+letters
 
     letter = (block, idx, deg, exps)
 
@@ -33,58 +34,55 @@ from .scalars import vec_add_scaled
 LOWER, CARTAN, RAISE = 0, 1, 2
 
 
-def _mat_mul(a, b):
-    out = {}
-    for (i, k), va in a.items():
-        vec_add_scaled(out, {(i, j): vb for (k2, j), vb in b.items() if k2 == k}, va)
-    return out
-
-
-def _mat_commutator(a, b):
-    return vec_add_scaled(_mat_mul(a, b), _mat_mul(b, a), -1)
-
-
 class ChevalleyTable:
-    """Integer structure constants of the Chevalley basis, A series.
+    """Integer structure constants of the Chevalley basis, types A, D and E.
 
-    Realized through (rank+1) x (rank+1) matrix units: x^+ of the root
-    alpha_i + ... + alpha_{j-1} is E_{ij}, its negative is E_{ji}, and
-    h_i = E_{ii} - E_{i+1,i+1}.  This fixes the sign convention
-    [x^+_{a1}, x^+_{a2}] = +x^+_{a1+a2}.
+    Read off the root datum with one sign rule (Kac, Infinite-dimensional Lie
+    algebras, 7.8; Frenkel-Kac 1980).  With x^+_b = E_b and x^-_b = -E_{-b},
+
+        [E_a, E_b] = eps(a, b) E_{a+b} when a + b is a root,
+        [E_a, E_{-a}] = -h_a,  [E_a, h_i] = -a(h_i) E_a,  [h, h] = 0,
+
+    where h_a is the coroot of a (h_{-a} = -h_a), so [x^+_b, x^-_b] = h_b.  The
+    sign eps is bimultiplicative, with eps(alpha_i, alpha_i) = -1,
+    eps(alpha_i, alpha_j) = -1 for adjacent nodes i > j, and +1 otherwise.  On
+    type A this is the matrix-unit realization x^+ = E_{ij} (i < j),
+    x^- = E_{ji}, h_i = E_{ii} - E_{i+1,i+1}.
     """
 
     def __init__(self, datum):
-        if datum.series != "A":
-            raise ValueError(f"structure constants implemented for type A only, got {datum.type_string()}")
+        if datum.series not in ("A", "D", "E"):
+            raise ValueError("structure constants implemented for simply-laced types only, "
+                             f"got {datum.type_string()}")
         self.datum = datum
-        gmat = {(CARTAN, i): {(i, i): 1, (i + 1, i + 1): -1} for i in range(datum.rank)}
+        n = datum.rank
+        odd = [(i, j) for i in range(n) for j in range(i + 1) if datum.cartan[i][j]]
+        cartans = [(CARTAN, i) for i in range(n)]
+        # each root generator as s * E_a: generator -> (s, a), and a -> (generator, s)
+        signed = {}
         for idx, beta in enumerate(datum.pos_roots):
-            i = beta.index(1)
-            j = i + sum(beta)
-            gmat[(RAISE, idx)] = {(i, j): 1}
-            gmat[(LOWER, idx)] = {(j, i): 1}
-        self._brackets = {(g1, g2): self._decompose(_mat_commutator(m1, m2))
-                          for g1, m1 in gmat.items() for g2, m2 in gmat.items()}
-
-    def _decompose(self, mat):
-        """Write an sl-matrix in the Chevalley basis; returns ((gsym, int), ...)."""
-        n = self.datum.rank
-        out = []
-        diag = [0] * (n + 1)
-        for (i, j), v in mat.items():
-            if i == j:
-                diag[i] = v
-            else:
-                coords = tuple(1 if min(i, j) <= k < max(i, j) else 0 for k in range(n))
-                idx = self.datum.root_index[coords]
-                out.append(((RAISE if i < j else LOWER, idx), v))
-        assert sum(diag) == 0
-        acc = 0
-        for k in range(n):
-            acc += diag[k]
-            if acc:
-                out.append((((CARTAN, k)), acc))
-        return tuple(out)
+            signed[(RAISE, idx)] = (1, beta)
+            signed[(LOWER, idx)] = (-1, tuple(-c for c in beta))
+        gen_of = {a: (g, s) for g, (s, a) in signed.items()}
+        self._brackets = {(g1, g2): () for g1 in cartans for g2 in cartans}
+        for g1, (s1, a) in signed.items():
+            for i, h in enumerate(cartans):
+                c = datum.root_pairing(a, i)
+                self._brackets[(g1, h)] = ((g1, -c),) if c else ()
+                self._brackets[(h, g1)] = ((g1, c),) if c else ()
+            for g2, (s2, b) in signed.items():
+                ab = tuple(x + y for x, y in zip(a, b))
+                if not any(ab):  # -s1 s2 h_a = s1 h_beta, beta the positive root of g1
+                    got = tuple(((CARTAN, k), s1 * c)
+                                for k, c in enumerate(datum.coroots[g1[1]]) if c)
+                elif ab in gen_of:
+                    g3, s3 = gen_of[ab]
+                    # parity, never (-1) ** n: negative roots give negative exponents
+                    eps = -1 if sum(a[i] * b[j] for i, j in odd) % 2 else 1
+                    got = ((g3, s1 * s2 * s3 * eps),)
+                else:
+                    got = ()
+                self._brackets[(g1, g2)] = got
 
     def bracket(self, g1, g2):
         """[g1, g2] as an integer combination of Chevalley symbols."""
@@ -157,7 +155,7 @@ class OracleElt:
 
 
 class Oracle:
-    """Envelope of g tensor A with exact normal form; g of type A, A a monomial algebra."""
+    """Envelope of g tensor A with exact normal form; g of type A, D or E, A a monomial algebra."""
 
     def __init__(self, datum, algebra):
         self.datum = datum

@@ -69,18 +69,25 @@ class Window:
 def _checked_window(datum, lam, algebra, window):
     """The window, or the default one for lam; ValueError unless lam is
     dominant, the coefficients are polynomial, and the window has one
-    exponent cap per positive root and one drop cap per simple root."""
+    exponent cap per positive root and one drop cap per simple root, none
+    below the default's: slack widens only the extension window, so a
+    narrower base loses spanning monomials and gives a wrong module."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     if algebra.kind != "poly":
         raise ValueError("windows require polynomial coefficients")
+    default = default_window(datum, lam)
     if window is None:
-        return default_window(datum, lam)
+        return default
     if len(window.exp_caps) != len(datum.pos_roots):
         raise ValueError(f"exponent caps need {len(datum.pos_roots)} entries, "
                          f"got {len(window.exp_caps)}")
     if len(window.drop_cap) != datum.rank:
         raise ValueError(f"drop cap needs {datum.rank} entries, got {len(window.drop_cap)}")
+    for name, caps, least in (("exponent caps", window.exp_caps, default.exp_caps),
+                              ("drop cap", window.drop_cap, default.drop_cap)):
+        if any(c < m for c, m in zip(caps, least)):
+            raise ValueError(f"{name} {caps} narrower than the default {least}")
     return window
 
 

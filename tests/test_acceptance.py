@@ -224,3 +224,21 @@ def test_criterion_8_chari_loktev_dimensions():
     elapsed = time.monotonic() - t0
     assert elapsed < 600
     print(f"CRITERION 8: PASS ({runs} modules, {elapsed:.1f}s)")
+
+
+def test_criterion_9_d4_minuscule_weyl_modules():
+    # the three minuscule weights of D4, exchanged by triality, each in one
+    # characteristic: Weyl modules keep the Weyl character in every
+    # characteristic (Jantzen, Representations of Algebraic Groups, II), so
+    # the dimension is the Weyl dimension 8, a number not from the closure
+    t0 = time.monotonic()
+    d4 = build_root_datum("D", 4)
+    for lam, p in (((1, 0, 0, 0), 0), ((0, 0, 1, 0), 2), ((0, 0, 0, 1), 3)):
+        res = weyl_module_g(d4, lam, char=p, window=default_window(d4, lam, slack=1),
+                            max_slack=2)
+        assert res.stabilized, (lam, p)
+        assert res.dimension == d4.weyl_dimension(lam) == 8, (lam, p, res.dimension)
+        assert character_check(res, d4), (lam, p)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 120
+    print(f"CRITERION 9: PASS (3 modules, {elapsed:.1f}s)")

@@ -111,6 +111,25 @@ def test_verify_all_identities_a1(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("typ, coeff, bound, count, cases", [
+    ("D4", "poly:1", "2", "20", 5825),
+    ("E6", "poly:0", "1", "10", 3205),
+])
+def test_verify_all_identities_simply_laced(capsys, typ, coeff, bound, count, cases):
+    # the structure constants of D and E come from the root datum's sign rule
+    code, out, _ = run(capsys, "verify", "--id", "all", "--type", typ, "--coeff", coeff,
+                       "--adeg", "1", "--kmax", bound, "--lmax", bound, "--rmax", bound,
+                       "--smax", bound, "--count", count)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == f"{cases} cases, all pass"
+
+
+def test_non_simply_laced_type_is_usage_error(capsys):
+    code, out, err = run(capsys, "weyl", "--type", "B2", "--lambda", "1,0")
+    assert code == EXIT_USAGE and not out
+    assert err == "error: structure constants implemented for simply-laced types only, got B2\n"
+
+
 def test_verify_json_roundtrip(capsys):
     code, out, _ = run(capsys, "verify", "--id", "commutrels2", "--type", "A2",
                        "--json")
@@ -355,6 +374,12 @@ def test_bad_word_size_bounds(capsys, argv, named):
      "--exp-caps needs 3 entries"),
     (("weyl", "--type", "A2", "--lambda", "1,1", "--drop-cap", "2,2,5"),
      "--drop-cap needs 2 entries"),
+    # narrowed windows: these printed dimensions 5 and 3 as stabilized, where
+    # the adjoint Weyl module has 8 and Chari-Loktev gives 4
+    (("weyl", "--type", "A2", "--lambda", "1,1", "--drop-cap", "1,1"),
+     "drop cap (1, 1) narrower than the default (2, 2)"),
+    (("local-weyl", "--lambda", "2", "--exp-caps", "0"),
+     "exponent caps (0,) narrower than the default (1,)"),
 ])
 def test_bad_window_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)

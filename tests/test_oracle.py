@@ -7,7 +7,7 @@ import pytest
 
 from hyperweyl.coeffalg import TRIVIAL, CoeffAlgebra
 from hyperweyl.hyper import collect, lower_dp, monomial_adeg, monomial_weight_drop, raise_dp
-from hyperweyl.oracle import CARTAN, LOWER, RAISE, get_oracle
+from hyperweyl.oracle import CARTAN, LOWER, RAISE, ChevalleyTable, get_oracle
 from hyperweyl.rootdata import build_root_datum
 
 POLY1 = CoeffAlgebra("poly", 1)
@@ -70,36 +70,134 @@ def test_ef_swap():
     assert lhs == rhs
 
 
-def test_integer_structure_constants():
-    # brackets of Chevalley vectors have integer coefficients
-    o = get_oracle(build_root_datum("A", 3), POLY1)
-    d = o.datum
-    syms = [(LOWER, i) for i in range(len(d.pos_roots))] + [(CARTAN, i) for i in range(d.rank)] + [(RAISE, i) for i in range(len(d.pos_roots))]
+def _symbols(d):
+    return ([(LOWER, i) for i in range(len(d.pos_roots))] + [(CARTAN, i) for i in range(d.rank)]
+            + [(RAISE, i) for i in range(len(d.pos_roots))])
+
+
+def _datum(typ):
+    return build_root_datum(typ[0], int(typ[1:]))
+
+
+def matrix_unit_brackets(d):
+    """The type-A reference: brackets of Chevalley symbols through matrix units.
+
+    x^+ of the root alpha_i + ... + alpha_{j-1} is E_{ij}, its negative is
+    E_{ji}, and h_i = E_{ii} - E_{i+1,i+1}; each commutator is written back in
+    the Chevalley basis, root vectors first, then Cartan terms by node.
+    """
+    n = d.rank
+    mats = {(CARTAN, i): {(i, i): 1, (i + 1, i + 1): -1} for i in range(n)}
+    for idx, beta in enumerate(d.pos_roots):
+        i = beta.index(1)
+        j = i + sum(beta)
+        mats[(RAISE, idx)], mats[(LOWER, idx)] = {(i, j): 1}, {(j, i): 1}
+
+    def mul(a, b):
+        out = {}
+        for (i, k), va in a.items():
+            for (k2, j), vb in b.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + va * vb
+        return out
+
+    def decompose(mat):
+        terms, diag = [], [0] * (n + 1)
+        for (i, j), v in mat.items():
+            if i == j:
+                diag[i] = v
+            elif v:
+                coords = tuple(int(min(i, j) <= k < max(i, j)) for k in range(n))
+                terms.append(((RAISE if i < j else LOWER, d.root_index[coords]), v))
+        assert sum(diag) == 0
+        for k in range(n):
+            if sum(diag[:k + 1]):
+                terms.append(((CARTAN, k), sum(diag[:k + 1])))
+        return tuple(terms)
+
+    out = {}
+    for g1, m1 in mats.items():
+        for g2, m2 in mats.items():
+            comm = mul(m1, m2)
+            for key, v in mul(m2, m1).items():
+                comm[key] = comm.get(key, 0) - v
+            out[(g1, g2)] = decompose(comm)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_equals_matrix_unit_reference(n):
+    d = build_root_datum("A", n)
+    ref = matrix_unit_brackets(d)
+    table = ChevalleyTable(d)
+    syms = _symbols(d)
+    assert set(ref) == {(g1, g2) for g1 in syms for g2 in syms}
+    assert {key: table.bracket(*key) for key in ref} == ref
+
+
+@pytest.mark.parametrize("typ", ["B2", "C3", "F4", "G2"])
+def test_table_rejects_non_simply_laced_types(typ):
+    with pytest.raises(ValueError, match=f"simply-laced types only, got {typ}"):
+        ChevalleyTable(_datum(typ))
+
+
+SIMPLY_LACED = ["A1", "A2", "A3", "A4", "D4", "E6"]
+
+
+@pytest.mark.parametrize("typ", SIMPLY_LACED)
+def test_integer_structure_constants(typ):
+    # brackets of Chevalley vectors have nonzero integer coefficients
+    table = ChevalleyTable(_datum(typ))
+    syms = _symbols(table.datum)
     for g1 in syms:
         for g2 in syms:
-            for _g, c in o.table.bracket(g1, g2):
-                assert isinstance(c, int) and c != 0
+            for _g, c in table.bracket(g1, g2):
+                assert type(c) is int and c != 0
 
 
-def test_bracket_antisymmetry_and_jacobi():
-    o = get_oracle(build_root_datum("A", 2), POLY1)
+@pytest.mark.parametrize("typ", SIMPLY_LACED)
+def test_bracket_antisymmetry_and_jacobi(typ):
+    # on all basis triples: [x, [y, z]] = [[x, y], z] + [y, [x, z]]
+    table = ChevalleyTable(_datum(typ))
+    syms = _symbols(table.datum)
+    pair = {(x, y): dict(table.bracket(x, y)) for x in syms for y in syms}
+    for (x, y), v in pair.items():
+        assert v == {g: -c for g, c in pair[(y, x)].items()}, (x, y)
+
+    def bracket(u, v):
+        """[u, v] for sparse combinations of symbols."""
+        out = {}
+        for g1, c1 in u.items():
+            for g2, c2 in v.items():
+                for g, c in pair[(g1, g2)].items():
+                    out[g] = out.get(g, 0) + c1 * c2 * c
+        return {g: c for g, c in out.items() if c}
+
+    for x in syms:
+        for y in syms:
+            for z in syms:
+                rhs = bracket(pair[(x, y)], {z: 1})
+                for g, c in bracket({y: 1}, pair[(x, z)]).items():
+                    rhs[g] = rhs.get(g, 0) + c
+                assert bracket({x: 1}, pair[(y, z)]) == {g: c for g, c in rhs.items() if c}, \
+                    (x, y, z)
+
+    # the same through Oracle.lie_bracket on random elements of g ⊗ F[t]
+    o = get_oracle(table.datum, POLY1)
     rng = random.Random(7)
-    d = o.datum
 
     def rand_elt():
         block = rng.randrange(3)
-        idx = rng.randrange(d.rank if block == CARTAN else len(d.pos_roots))
+        idx = rng.randrange(o.datum.rank if block == CARTAN else len(o.datum.pos_roots))
         exps = (rng.randrange(3),)
         c = Fraction(rng.randint(-2, 2))
-        make = [o.x_minus, o.h, o.x_plus][block]
-        return c * make(idx, exps)
+        return c * [o.x_minus, o.h, o.x_plus][block](idx, exps)
 
     for _ in range(40):
         x, y, z = rand_elt(), rand_elt(), rand_elt()
         assert o.lie_bracket(x, y) == (-1) * o.lie_bracket(y, x)
         lhs = o.lie_bracket(x, o.lie_bracket(y, z))
-        rhs = o.lie_bracket(o.lie_bracket(x, y), z) + o.lie_bracket(y, o.lie_bracket(x, z))
-        assert lhs == rhs
+        assert lhs == o.lie_bracket(o.lie_bracket(x, y), z) + o.lie_bracket(y, o.lie_bracket(x, z))
 
 
 def test_a2_chevalley_signs():

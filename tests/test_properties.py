@@ -22,6 +22,8 @@ from hyperweyl.hyper import (
     collect,
     expand_monomial,
     ordered_monomial,
+    random_gen_word,
+    straighten_roundtrip_failure,
 )
 from hyperweyl.oracle import CARTAN, LOWER, RAISE, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
@@ -262,6 +264,20 @@ def test_product_modulo_raising_ideal_drops_raising_words(o, data):
                                   label="word")))
     z = data.draw(st.sampled_from(lowering_cartan), label="letter")
     assert all(l[0] != RAISE for w in o._insert(z, word) for l in w)
+
+
+# -- straightening: collect then re-expand is exact on random gensym words ------
+
+STRAIGHTEN_ORACLES = (get_oracle(build_root_datum("A", 2), CoeffAlgebra("poly", 2)),
+                      get_oracle(build_root_datum("D", 4), CoeffAlgebra("poly", 1)))
+
+
+@pytest.mark.parametrize("o", STRAIGHTEN_ORACLES, ids=("A2-poly2", "D4-poly1"))
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_straighten_round_trips_random_words(o, rng):
+    gens = random_gen_word(o, rng, max_k=3, max_deg=2, max_len=3)
+    assert straighten_roundtrip_failure(o, gens) is None, gens
 
 
 PLANTED = '''

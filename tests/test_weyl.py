@@ -106,6 +106,17 @@ def test_spanning_set_rejects_window_of_wrong_length(window):
         spanning_set(A2, (1, 1), P1, window)
 
 
+def test_narrowed_window_is_rejected_and_widened_window_is_kept():
+    # slack widens only the extension window, so a base below the default
+    # loses spanning monomials: this one gave dimension 6, called stabilized
+    with pytest.raises(ValueError, match=r"drop cap \(2, 1\) narrower than the default \(2, 2\)"):
+        weyl_module_g(A2, (1, 1), window=Window((0, 0, 1), (2, 1)))
+    with pytest.raises(ValueError, match=r"exponent caps \(0, 0, 0\) narrower"):
+        spanning_set(A2, (1, 1), TRIVIAL, Window((0, 0, 0), (2, 2)))
+    r = weyl_module_g(A2, (1, 1), window=Window((1, 1, 2), (3, 3)))
+    assert (r.dimension, r.stabilized) == (8, True)
+
+
 def test_closure_rejects_max_slack_below_slack():
     w = default_window(A1, (1,), slack=3)
     with pytest.raises(ValueError, match="max_slack"):
