@@ -275,7 +275,8 @@ class ClosureState:
         return dim, char_map
 
 
-def _closure_pass(datum, lam, algebra, ev, window, slack):
+def _closure_pass(datum, lam, algebra, ev, window, slack, ev_gm, left_product):
+    """One pass at `slack`; `ev_gm` and `left_product` are the closure's shared memos."""
     o = get_oracle(datum, algebra)
     ext_caps = tuple(c + slack for c in window.exp_caps)
     ext_drop = tuple(c + slack for c in window.drop_cap)
@@ -304,10 +305,6 @@ def _closure_pass(datum, lam, algebra, ev, window, slack):
             for rho in range(1, cap + 1):
                 gens.append(raise_dp(i, b, rho))
 
-    @functools.cache
-    def ev_gm(g, m):
-        return apply_relations(o, m, g, ev)
-
     # phase 1: saturate the seed span under the raising sweep
     core_spaces = {}
     core_rows = []
@@ -335,32 +332,33 @@ def _closure_pass(datum, lam, algebra, ev, window, slack):
     # Products of lowering monomials stay pure lowering, and the raw collected
     # product is itself a vector that dies on w, so no evaluation happens here;
     # in particular the bare seeds enter through the empty left factor.
+    # Only blocks inside the base drop cap can cut base monomials, and left
+    # multiplication never lowers the drop, so deeper products are dead weight.
+    # The window monomials are bucketed by drop once, in window order, and a
+    # core row meets only the buckets that keep its total inside the cap; each
+    # target space still sees its inserts in (core row, window) order.
+    buckets = {}
+    for lmon in ext:
+        ldrop = monomial_weight_drop(o, lmon)
+        if all(a <= cap for a, cap in zip(ldrop, window.drop_cap)):
+            buckets.setdefault(ldrop, []).append(lmon)
     spaces = {}
-
-    @functools.cache
-    def left_product(lmon, m):
-        return collect(o, expand_monomial(o, lmon) * expand_monomial(o, m))
-
-    # only blocks inside the base drop cap can cut base monomials, and left
-    # multiplication never lowers the drop, so deeper rows are dead weight
     for dr, v in core_rows:
-        if any(a > cap for a, cap in zip(dr, window.drop_cap)):
-            continue
-        for lmon in ext:
-            ldrop = monomial_weight_drop(o, lmon)
+        for ldrop, lmons in buckets.items():
             tot = tuple(a + b for a, b in zip(ldrop, dr))
             if any(t > cap for t, cap in zip(tot, window.drop_cap)):
                 continue
-            w = {}
-            for m, c in v.items():
-                vec_add_scaled(w, left_product(lmon, m), c)
-            if not w or any(mon not in ext_set for mon in w):
-                continue
-            sp = spaces.get(tot)
-            if sp is None:
-                sp = new_space()
-                spaces[tot] = sp
-            sp.insert(w)
+            for lmon in lmons:
+                w = {}
+                for m, c in v.items():
+                    vec_add_scaled(w, left_product(lmon, m), c)
+                if not w or any(mon not in ext_set for mon in w):
+                    continue
+                sp = spaces.get(tot)
+                if sp is None:
+                    sp = new_space()
+                    spaces[tot] = sp
+                sp.insert(w)
 
     return ClosureState(o, base, ext, spaces)
 
@@ -417,12 +415,18 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     if max_slack < window.slack:
         raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 
+    # both products are pure in (oracle, generator, monomial, eval data), all
+    # fixed for this call, so every pass reuses what earlier passes computed
+    o = get_oracle(datum, algebra)
+    memos = (functools.cache(lambda g, m: apply_relations(o, m, g, eval_data)),
+             functools.cache(lambda lmon, m: collect(
+                 o, expand_monomial(o, lmon) * expand_monomial(o, m))))
     slack = window.slack
-    state = _closure_pass(datum, lam, algebra, eval_data, window, slack)
+    state = _closure_pass(datum, lam, algebra, eval_data, window, slack, *memos)
     dim, char_map = state.dimension_and_character(datum, lam)
     stabilized = False
     while slack < max_slack:
-        probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1)
+        probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1, *memos)
         dim1, ch1 = probe.dimension_and_character(datum, lam)
         if (dim1, ch1) == (dim, char_map):
             stabilized = True

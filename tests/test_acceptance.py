@@ -242,3 +242,21 @@ def test_criterion_9_d4_minuscule_weyl_modules():
     elapsed = time.monotonic() - t0
     assert elapsed < 120
     print(f"CRITERION 9: PASS (3 modules, {elapsed:.1f}s)")
+
+
+def test_criterion_10_chari_loktev_rank_two():
+    # the rank-2 case of criterion 8's formula: graded local Weyl modules of
+    # sl_3 (x) F[t] at lam = (1,1) and (2,0) have dimension C(3,1)^2 = 9 in
+    # every characteristic (Chari-Loktev 2006, Jakelic-Moura 2007)
+    t0 = time.monotonic()
+    runs = 0
+    for lam in ((1, 1), (2, 0)):
+        for p in CHARS:
+            res = relation_closure(A2, lam, P1, EvalData(lam=lam, char=p))
+            assert res.stabilized, (lam, p)
+            assert res.dimension == chari_loktev_dimension(A2, lam) == 9, (lam, p)
+            assert character_check(res, A2), (lam, p)
+            runs += 1
+    elapsed = time.monotonic() - t0
+    assert elapsed < 600
+    print(f"CRITERION 10: PASS ({runs} modules, {elapsed:.1f}s)")

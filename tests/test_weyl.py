@@ -1,4 +1,6 @@
 """Highest-weight quotient engine: windows, relations, dimensions, characters."""
+import hashlib
+
 import pytest
 
 from hyperweyl.coeffalg import CoeffAlgebra, TRIVIAL
@@ -286,6 +288,49 @@ def test_result_json_schema():
     assert j["character"][0] == {"weight": [2], "mult": 1}
     assert j["window"]["slack"] >= 2
     assert sum(e["mult"] for e in j["character"]) == j["dimension"]
+
+
+# -- the closure's row spaces and memos ------------------------------------------------
+
+def deepening_a1_char3():
+    # the slack 1, 2 and 3 passes disagree, so all three run
+    w = default_window(A1, (3,), slack=1)
+    return relation_closure(A1, (3,), P1, graded((3,), char=3), window=w, max_slack=3)
+
+
+def row_space_digest(res):
+    spaces = {dr: list(sp.rows.items()) for dr, sp in sorted(res.state.spaces.items())}
+    return hashlib.sha256(repr(spaces).encode()).hexdigest()
+
+
+# digests of every relation row, in insertion order, recorded from the
+# unbucketed phase-2 loop that paired each core row with every window monomial
+@pytest.mark.parametrize("run,digest", [
+    (deepening_a1_char3,
+     "8a8009470994bc3f9fd0f0e705fea3ea8964fdc81df288aa669d40366dd43d15"),
+    (lambda: relation_closure(A2, (1, 0), P1),
+     "9d4ceab9855f572f26856415b4d8a2a2de9fa88c2580fabed8fdaa0310f230eb"),
+    (lambda: relation_closure(A1, (2,), P1, EvalData(
+        lam=(2,), char=5, c=evaluation_table((2,), [[1, 2]], 64))),
+     "f947095f5eda09c8fdec49fd1f58c2dfd7cc6bb9c2a03935d3b323ffeffa57a1"),
+    (lambda: weyl_module_g(A2, (1, 1), char=3),
+     "509abc42f5af544e93bd5b8722f65cc34f71d19aea153506a891ee6010baf854"),
+], ids=["A1-3-char3", "A2-10", "A1-2-points-char5", "g-A2-11-char3"])
+def test_row_spaces_match_the_all_pairs_loop(run, digest):
+    assert row_space_digest(run()) == digest
+
+
+def test_phase_memos_live_for_the_whole_closure(monkeypatch):
+    seen = []
+
+    def counting(o, v, g, ev):
+        seen.append((g, v))
+        return apply_relations(o, v, g, ev)
+
+    monkeypatch.setattr("hyperweyl.weyl.apply_relations", counting)
+    r = deepening_a1_char3()
+    assert r.window.slack == 3 and seen
+    assert len(seen) == len(set(seen)), "a (generator, monomial) pair ran twice"
 
 
 # -- Weyl modules of the simple algebra ----------------------------------------------
