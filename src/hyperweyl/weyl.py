@@ -9,11 +9,14 @@ exact linear algebra, and reads off dimension and character.  Raising powers
 are only applied where their result can lie at or below the weight, and each
 product is straightened modulo the left ideal U·n+ that kills w, dropping a
 word as soon as it ends in a raising letter (such normal words span U·n+).
+Each raising power is one letter times the power below it, and is valued on
+w word by word: only the Cartan tail of a word is ever collected.
 
 All vectors here are dicts mapping pure-lowering monomials to scalars.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -21,8 +24,9 @@ from dataclasses import dataclass, field
 from .coeffalg import TRIVIAL
 from .hyper import (
     E_DP,
-    F_DP,
     H_BINOM,
+    NotInZFormError,
+    _monomial_of_word,
     collect,
     expand_gen,
     expand_monomial,
@@ -30,7 +34,7 @@ from .hyper import (
     monomial_weight_drop,
     raise_dp,
 )
-from .oracle import get_oracle
+from .oracle import CARTAN, OracleElt, get_oracle
 from .scalars import RowSpace, is_prime, vec_add_scaled
 
 __all__ = [
@@ -143,54 +147,90 @@ class EvalData:
         return math.comb(self.lam[i], k)
 
 
-# -- evaluation on the highest-weight vector -----------------------------------
+# -- phase 1: raising powers evaluated on the highest-weight vector ---------------
 
-def _evaluate_on_highest(o, ev, m):
-    """Value of a collected basis monomial on w: (lowering monomial, scalar) or None.
-
-    Factors act right to left: raising factors annihilate, Cartan factors give
-    scalars, and a rightmost unit-coefficient lowering power beyond the weight
-    pairing annihilates.  Lowering factors that are not rightmost never drop.
-    """
-    scalar = 1
-    fpart = []
-    for g in m:
-        kind, idx, exps, k = g
-        if kind == F_DP:
-            fpart.append(g)
-        elif kind == E_DP:
-            return None
-        elif kind == H_BINOM:
-            scalar *= ev.chi_binom(idx, k)
-        else:
-            scalar *= ev.chi_series(idx, exps, k)
-        if not scalar:
-            return None
-    fmon = tuple(fpart)
-    if fmon:
-        _kind, idx, exps, k = fmon[-1]
-        if exps == o.algebra.unit() and k > o.datum.pairing(ev.lam, idx):
-            return None
-    return fmon, scalar
+def _split(w):
+    """A raising-free normal word as (lowering head, Cartan tail)."""
+    j = bisect.bisect_left(w, (CARTAN,))
+    return w[:j], w[j:]
 
 
-def apply_relations(o, v, g, ev):
+class _Phase1:
+    """Memos of `apply_relations` for one oracle and eval data, kept for a closure;
+    `chains` maps (node, coefficient, v) to the raising letter, the denominator
+    of v and the split numerators of E^rho * v for rho = 0, 1, ... so far."""
+
+    def __init__(self, o, ev):
+        self.o, self.ev = o, ev
+        self.chains, self.lowering, self.cartan = {}, {}, {}
+
+    def raising_product(self, i, b, rho, v):
+        """(split numerators, denominator) of E(i,b)^(rho) * v modulo U·n+."""
+        o = self.o
+        chain = self.chains.get((i, b, v))
+        if chain is None:
+            ((x,),) = expand_gen(o, raise_dp(i, b, 1)).terms
+            start = o.mul_mod_raising(o.one(), expand_monomial(o, v))
+            chain = self.chains[(i, b, v)] = (
+                x, start.den, [{_split(w): c for w, c in start.terms.items()}])
+        x, den, folds = chain
+        while len(folds) <= rho:
+            nxt = {}
+            for (head, tail), c in folds[-1].items():
+                for u, cu in o._insert_mod(x, head).items():
+                    uh, ut = _split(u)
+                    key = (uh, tuple(sorted(ut + tail)) if ut and tail else ut or tail)
+                    nxt[key] = nxt.get(key, 0) + c * cu
+            folds.append({key: c for key, c in nxt.items() if c})
+        return folds[rho], math.factorial(rho) * den
+
+    def lowering_part(self, wf):
+        """(m_F, prod k!) of a lowering word, prod k! = 0 when m_F kills w."""
+        if wf not in self.lowering:
+            m = _monomial_of_word(self.o, wf)
+            dies = m and m[-1][2] == self.o.algebra.unit() and (
+                m[-1][3] > self.o.datum.pairing(self.ev.lam, m[-1][1]))
+            self.lowering[wf] = (m, 0 if dies else math.prod(math.factorial(g[3]) for g in m))
+        return self.lowering[wf]
+
+    def cartan_value(self, wc):
+        """Value on w of collect(wc), each monomial the product of its scalars."""
+        if wc not in self.cartan:
+            ev, col = self.ev, collect(self.o, OracleElt(self.o, {wc: 1}))
+            self.cartan[wc] = sum(c * math.prod(
+                ev.chi_binom(i, k) if kind == H_BINOM else ev.chi_series(i, exps, k)
+                for kind, i, exps, k in m) for m, c in col.items())
+        return self.cartan[wc]
+
+
+def apply_relations(o, v, g, ev, memo=None):
     """Value on w of g acting on the lowering monomial v, as a sparse vector.
 
-    The product is formed modulo the left ideal U·n+ (`Oracle.mul_mod_raising`):
-    normal words with a raising letter are exactly those ending in one, they
-    span U·n+ and die on w, so each is dropped as soon as it appears and never
-    straightened further.  `collect` never mixes them with the raising-free
-    words, so it still certifies every kept coefficient as an integer.
+    Works modulo the left ideal U·n+, which dies on w; E(i,b)^(rho) * v is e
+    times E^(rho-1) * v, e = x+_i ⊗ b, memoized in `memo` (a fresh `_Phase1`
+    when None).  A raising-free normal word is a lowering word w_F times a
+    Cartan word w_C, and e meets only w_F: U·n+ is stable under right
+    multiplication by the commuting Cartan letters.  By PBW uniqueness w_F·w_C
+    collects to (prod k!) m_F ⊗ collect(w_C), so m_F gets c (prod k!) times
+    the `chi_binom`/`chi_series` value of collect(w_C), for any table, unless
+    m_F ends in a unit-coefficient power beyond the weight pairing.  A value
+    the denominator does not divide raises NotInZFormError.
     """
-    prod = collect(o, o.mul_mod_raising(expand_gen(o, g), expand_monomial(o, v)))
-    out = {}
-    for m, c in prod.items():
-        got = _evaluate_on_highest(o, ev, m)
-        if got is not None:
-            fmon, s = got
-            vec_add_scaled(out, {fmon: 1}, c * s)
-    return out
+    if memo is None:
+        memo = _Phase1(o, ev)
+    if g[0] == E_DP:
+        terms, den = memo.raising_product(g[1], g[2], g[3], v)
+    else:  # any other gensym
+        e = o.mul_mod_raising(expand_gen(o, g), expand_monomial(o, v))
+        terms, den = {_split(w): c for w, c in e.terms.items()}, e.den
+    acc = {}
+    for (head, tail), c in terms.items():
+        m, fact = memo.lowering_part(head)
+        if fact:
+            acc[m] = acc.get(m, 0) + c * fact * memo.cartan_value(tail)
+    if any(n % den for n in acc.values()):
+        raise NotInZFormError(f"a value on w is not an integer over {den}")
+    return {m: n // den for m, n in acc.items() if n}
 
 
 # -- window enumeration -----------------------------------------------------------
@@ -275,12 +315,11 @@ class ClosureState:
         return dim, char_map
 
 
-def _closure_pass(datum, lam, algebra, ev, window, slack, ev_gm, left_product):
-    """One pass at `slack`; `ev_gm` and `left_product` are the closure's shared memos."""
+def _closure_pass(datum, lam, algebra, ev, window, slack, base, ev_gm, left_product):
+    """One pass at `slack`; `base`, `ev_gm` and `left_product` are the closure's."""
     o = get_oracle(datum, algebra)
     ext_caps = tuple(c + slack for c in window.exp_caps)
     ext_drop = tuple(c + slack for c in window.drop_cap)
-    base = _lowering_monomials(o, window.exp_caps, window.drop_cap)
     ext = _lowering_monomials(o, ext_caps, ext_drop)
     ext_set = set(ext)
     base_set = set(base)
@@ -415,10 +454,11 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     if max_slack < window.slack:
         raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 
-    # both products are pure in (oracle, generator, monomial, eval data), all
-    # fixed for this call, so every pass reuses what earlier passes computed
+    # the base window and the memos depend only on this call's arguments
     o = get_oracle(datum, algebra)
-    memos = (functools.cache(lambda g, m: apply_relations(o, m, g, eval_data)),
+    phase1 = _Phase1(o, eval_data)
+    memos = (_lowering_monomials(o, window.exp_caps, window.drop_cap),
+             functools.cache(lambda g, m: apply_relations(o, m, g, eval_data, phase1)),
              functools.cache(lambda lmon, m: collect(
                  o, expand_monomial(o, lmon) * expand_monomial(o, m))))
     slack = window.slack

@@ -28,6 +28,7 @@ from hyperweyl.hyper import (
 from hyperweyl.oracle import CARTAN, LOWER, RAISE, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import RowSpace, reduce_mod_p
+from hyperweyl.weyl import EvalData, default_window, relation_closure
 
 # small labels and entries, so that random rows are often dependent
 LABELS = st.integers(0, 3)
@@ -278,6 +279,25 @@ STRAIGHTEN_ORACLES = (get_oracle(build_root_datum("A", 2), CoeffAlgebra("poly", 
 def test_straighten_round_trips_random_words(o, rng):
     gens = random_gen_word(o, rng, max_k=3, max_deg=2, max_len=3)
     assert straighten_roundtrip_failure(o, gens) is None, gens
+
+
+# -- the closure: a wider extension window never adds dimensions ----------------
+
+A1, POLY1 = build_root_datum("A", 1), CoeffAlgebra("poly", 1)
+
+
+@SETTINGS
+@given(m=st.integers(0, 3), char=st.sampled_from((0, 2, 3, 5)))
+def test_graded_dimension_never_grows_with_slack(m, char):
+    # each pass at slack s runs alone (max_slack = s); the extension window at
+    # s + 1 contains the one at s, so it can only add relations
+    dims = []
+    for slack in range(4):
+        w = default_window(A1, (m,), slack=slack)
+        r = relation_closure(A1, (m,), POLY1, EvalData(lam=(m,), char=char),
+                             window=w, max_slack=slack)
+        dims.append(r.dimension)
+    assert dims == sorted(dims, reverse=True), (m, char, dims)
 
 
 PLANTED = '''

@@ -5,6 +5,9 @@ import pytest
 
 from hyperweyl.coeffalg import CoeffAlgebra, TRIVIAL
 from hyperweyl.hyper import (
+    E_DP,
+    F_DP,
+    H_BINOM,
     cartan_binom,
     collect,
     expand_gen,
@@ -22,7 +25,7 @@ from hyperweyl.weyl import (
     EvalData,
     Window,
     WeylModuleResult,
-    _evaluate_on_highest,
+    _Phase1,
     apply_relations,
     character_check,
     default_window,
@@ -214,18 +217,67 @@ def test_apply_relations_annihilator_only_rightmost():
     assert out == {}, "rightmost over-cap lowering power annihilates"
 
 
+def evaluate_on_highest(o, ev, m):
+    """Value of a collected basis monomial on w: (lowering monomial, scalar) or None.
+
+    The collect-then-evaluate reference for `apply_relations`.  Factors act
+    right to left: raising factors annihilate, Cartan factors give scalars,
+    and a rightmost unit-coefficient lowering power beyond the weight pairing
+    annihilates.  Lowering factors that are not rightmost never drop.
+    """
+    scalar = 1
+    fpart = []
+    for g in m:
+        kind, idx, exps, k = g
+        if kind == F_DP:
+            fpart.append(g)
+        elif kind == E_DP:
+            return None
+        elif kind == H_BINOM:
+            scalar *= ev.chi_binom(idx, k)
+        else:
+            scalar *= ev.chi_series(idx, exps, k)
+        if not scalar:
+            return None
+    fmon = tuple(fpart)
+    if fmon:
+        _kind, idx, exps, k = fmon[-1]
+        if exps == o.algebra.unit() and k > o.datum.pairing(ev.lam, idx):
+            return None
+    return fmon, scalar
+
+
+def shortcut_tables(lam, alg):
+    """Three eval tables for lam: a point evaluation with nonzero series
+    scalars (one variable) or a table on each variable (two), an
+    inconsistent table, and the graded case."""
+    nodes = [i for i, li in enumerate(lam) if li]
+    if alg.nvars == 1:
+        points = evaluation_table(lam, [list(range(2, 2 + li)) for li in lam], 8)
+        bad = {(i, (s,), 1): v for i in nodes for s, v in ((1, 3), (2, 5))}
+    else:
+        points = {(i, b, r): 2 * r + sum(b) for i in nodes for r in range(1, lam[i] + 1)
+                  for b in ((1, 0), (0, 1), (1, 1))}
+        bad = {(i, b, 1): v for i in nodes for b, v in (((1, 0), 3), ((0, 2), 5))}
+    return points, bad, {}
+
+
 def check_raising_shortcuts(datum, lam, alg):
-    # phase 1 straightens modulo the left ideal of raising letters and skips
-    # E(i,b)^(rho) on targets whose drop in coordinate i is below rho; both
-    # must be exact
+    # phase 1 straightens modulo the left ideal of raising letters, chains
+    # each raising power from the one below it, evaluates without collecting
+    # the whole product, and skips E(i,b)^(rho) on targets whose drop in
+    # coordinate i is below rho; all of it must match collect-then-evaluate
+    # for every table, in chars 0 and 5
     o = get_oracle(datum, alg)
-    ev = graded(lam)
+    evs = [EvalData(lam=lam, char=p, c=c) for c in shortcut_tables(lam, alg) for p in (0, 5)]
+    memos = [_Phase1(o, ev) for ev in evs]
     base = default_window(datum, lam)
     window = Window(tuple(c + 1 for c in base.exp_caps),
                     tuple(c + 1 for c in base.drop_cap))
     mons = spanning_set(datum, lam, alg, window)
+    # rho descending, so a chain is first asked for its longest power
     gens = [raise_dp(i, b, rho) for i in range(datum.rank)
-            for b in sorted(alg.monomials_up_to_deg(3)) for rho in range(1, 4)]
+            for b in sorted(alg.monomials_up_to_deg(3)) for rho in range(3, 0, -1)]
     pruned = 0
     for v in mons:
         drop = monomial_weight_drop(o, v)
@@ -236,15 +288,18 @@ def check_raising_shortcuts(datum, lam, alg):
                                  if not w or w[-1][0] != RAISE}, prod.den)
             assert o.mul_mod_raising(expand_gen(o, g), expand_monomial(o, v)) == kept
             assert collect(o, kept) == quotient_drop_raising(full)
-            on_w = {}
-            for m, c in full.items():
-                got = _evaluate_on_highest(o, ev, m)
-                if got is not None:
-                    vec_add_scaled(on_w, {got[0]: 1}, c * got[1])
-            assert apply_relations(o, v, g, ev) == on_w, (g, v)
-            if g[3] > drop[g[1]]:
-                pruned += 1
-                assert on_w == {}, (g, v)
+            for ev, memo in zip(evs, memos):
+                on_w = {}
+                for m, c in full.items():
+                    got = evaluate_on_highest(o, ev, m)
+                    if got is not None:
+                        vec_add_scaled(on_w, {got[0]: 1}, c * got[1])
+                assert apply_relations(o, v, g, ev, memo) == on_w, (g, v, ev)
+                if not ev.char:  # a throwaway memo gives the same answer
+                    assert apply_relations(o, v, g, ev) == on_w, (g, v, ev)
+                if g[3] > drop[g[1]]:
+                    assert on_w == {}, (g, v)
+            pruned += g[3] > drop[g[1]]
     assert pruned
 
 
@@ -299,22 +354,26 @@ def deepening_a1_char3():
 
 
 def row_space_digest(res):
-    spaces = {dr: list(sp.rows.items()) for dr, sp in sorted(res.state.spaces.items())}
+    # pivots in insertion order, each row's entries sorted by label: the order
+    # of the keys inside a row dict is not part of the answer
+    spaces = {dr: [(pivot, sorted(row.items())) for pivot, row in sp.rows.items()]
+              for dr, sp in sorted(res.state.spaces.items())}
     return hashlib.sha256(repr(spaces).encode()).hexdigest()
 
 
-# digests of every relation row, in insertion order, recorded from the
+# digests of every relation row, pivots in insertion order, recorded from the
 # unbucketed phase-2 loop that paired each core row with every window monomial
+# and from the phase 1 that collected each whole raising product
 @pytest.mark.parametrize("run,digest", [
     (deepening_a1_char3,
-     "8a8009470994bc3f9fd0f0e705fea3ea8964fdc81df288aa669d40366dd43d15"),
+     "da273a8c666158b508fd9feb48c7e5235d873bbf78ca3e637644c527a6581ad1"),
     (lambda: relation_closure(A2, (1, 0), P1),
-     "9d4ceab9855f572f26856415b4d8a2a2de9fa88c2580fabed8fdaa0310f230eb"),
+     "25d558f22ca4e46464c0df767790a447226638706f915daee91ece9649f2445b"),
     (lambda: relation_closure(A1, (2,), P1, EvalData(
         lam=(2,), char=5, c=evaluation_table((2,), [[1, 2]], 64))),
-     "f947095f5eda09c8fdec49fd1f58c2dfd7cc6bb9c2a03935d3b323ffeffa57a1"),
+     "8684d5fea3ff4991d0796e4bc0009ddf19022ea364637d065b19ac2b5ff22bfa"),
     (lambda: weyl_module_g(A2, (1, 1), char=3),
-     "509abc42f5af544e93bd5b8722f65cc34f71d19aea153506a891ee6010baf854"),
+     "b095e19e3f97e3f3786aacee845b6d886a62e0348825d424d5182c271c713c06"),
 ], ids=["A1-3-char3", "A2-10", "A1-2-points-char5", "g-A2-11-char3"])
 def test_row_spaces_match_the_all_pairs_loop(run, digest):
     assert row_space_digest(run()) == digest
@@ -323,9 +382,9 @@ def test_row_spaces_match_the_all_pairs_loop(run, digest):
 def test_phase_memos_live_for_the_whole_closure(monkeypatch):
     seen = []
 
-    def counting(o, v, g, ev):
+    def counting(o, v, g, *args):
         seen.append((g, v))
-        return apply_relations(o, v, g, ev)
+        return apply_relations(o, v, g, *args)
 
     monkeypatch.setattr("hyperweyl.weyl.apply_relations", counting)
     r = deepening_a1_char3()
