@@ -26,7 +26,6 @@ from .oracle import get_oracle
 from .rootdata import build_root_datum, parse_type_string
 from .weyl import (
     EvalData,
-    Window,
     default_window,
     evaluation_table,
     relation_closure,
@@ -208,17 +207,6 @@ def _parse_points(text, rank):
     return points
 
 
-def _resolve_window(datum, lam, args):
-    base = default_window(datum, lam, slack=args.slack)
-    caps = base.exp_caps
-    drop = base.drop_cap
-    if getattr(args, "exp_caps", None):
-        caps = _int_tuple(args.exp_caps, len(datum.pos_roots), "--exp-caps")
-    if getattr(args, "drop_cap", None):
-        drop = _int_tuple(args.drop_cap, datum.rank, "--drop-cap")
-    return Window(caps, drop, args.slack)
-
-
 def _print_result(res, args):
     if args.json:
         _emit(result_to_json(res))
@@ -253,7 +241,7 @@ def cmd_local_weyl(args):
         raise UsageError("--lambda is required without --eval-table")
     else:
         lam = _int_tuple(args.lam, datum.rank, "--lambda")
-    window = _resolve_window(datum, lam, args)
+    window = default_window(datum, lam, slack=args.slack)
     if ev is None:
         char = args.char if args.char is not None else 0
         if args.eval == "graded":
@@ -261,7 +249,8 @@ def cmd_local_weyl(args):
         elif args.eval.startswith("points:"):
             if algebra.spec_string() != "poly:1":
                 raise UsageError("points preset needs --coeff poly:1")
-            degree = 64 + 8 * (max(window.exp_caps, default=0) + args.max_slack)
+            # a negative --max-slack is left for the closure to reject by name
+            degree = 64 + 8 * (max(window.exp_caps, default=0) + max(args.max_slack, 0))
             points = _parse_points(args.eval[len("points:"):], datum.rank)
             ev = EvalData(lam=lam, char=char,
                           c=evaluation_table(lam, points, degree))
@@ -307,14 +296,11 @@ def _add_common(sp):
 
 def _add_window(sp):
     sp.add_argument("--slack", type=int, default=2,
-                    help="initial window slack (default 2)")
+                    help="initial slack: how far the first pass's extension "
+                    "window reaches past the window that --lambda fixes (default 2)")
     sp.add_argument("--max-slack", type=int, default=8,
                     help="largest slack any pass uses, at least --slack; "
                     "equal to --slack runs one unconfirmed pass (default 8)")
-    sp.add_argument("--exp-caps", help="per-root coefficient exponent caps, "
-                    "comma list")
-    sp.add_argument("--drop-cap", help="weight-drop cap in simple-root "
-                    "coordinates, comma list")
     sp.add_argument("--allow-unstable", action="store_true",
                     help="exit 0 even when the result did not stabilize")
 

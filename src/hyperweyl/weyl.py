@@ -34,7 +34,7 @@ from .hyper import (
     monomial_weight_drop,
     raise_dp,
 )
-from .oracle import CARTAN, OracleElt, get_oracle
+from .oracle import CARTAN, RAISE, OracleElt, get_oracle
 from .scalars import RowSpace, is_prime, vec_add_scaled
 
 __all__ = [
@@ -60,22 +60,14 @@ class Window:
     drop_cap: tuple
     slack: int = 2
 
-    def __post_init__(self):
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
-        if any(c < 0 for c in self.drop_cap):
-            raise ValueError(f"drop cap must be >= 0 in every coordinate, got {self.drop_cap}")
-        # -1 is the cap of a root whose pairing with the weight is 0
-        if any(c < -1 for c in self.exp_caps):
-            raise ValueError(f"exponent caps must be >= -1, got {self.exp_caps}")
-
 
 def _checked_window(datum, lam, algebra, window):
     """The window, or the default one for lam; ValueError unless lam is
     dominant, the coefficients are polynomial, and the window has one
     exponent cap per positive root and one drop cap per simple root, none
-    below the default's: slack widens only the extension window, so a
-    narrower base loses spanning monomials and gives a wrong module."""
+    below the default's, and slack >= 0: slack widens only the extension
+    window, so a narrower base loses spanning monomials and gives a wrong
+    module."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     if algebra.kind != "poly":
@@ -92,6 +84,8 @@ def _checked_window(datum, lam, algebra, window):
                               ("drop cap", window.drop_cap, default.drop_cap)):
         if any(c < m for c, m in zip(caps, least)):
             raise ValueError(f"{name} {caps} narrower than the default {least}")
+    if window.slack < 0:
+        raise ValueError("slack must be >= 0")
     return window
 
 
@@ -128,7 +122,9 @@ class EvalData:
     def validate(self, datum, algebra):
         if len(self.lam) != datum.rank or any(x < 0 for x in self.lam):
             raise ValueError("highest weight must be dominant for the given type")
-        for (i, exps, r), _val in self.c.items():
+        for (i, exps, r), val in self.c.items():
+            if not isinstance(val, int):
+                raise ValueError(f"series scalar {val!r} at {(i, exps, r)} is not an int")
             if not 0 <= i < datum.rank:
                 raise ValueError(f"node {i} out of range")
             algebra.validate(exps)
@@ -169,10 +165,10 @@ class _Phase1:
         o = self.o
         chain = self.chains.get((i, b, v))
         if chain is None:
-            ((x,),) = expand_gen(o, raise_dp(i, b, 1)).terms
-            start = o.mul_mod_raising(o.one(), expand_monomial(o, v))
+            start = expand_monomial(o, v)  # pure lowering: already raising-free
             chain = self.chains[(i, b, v)] = (
-                x, start.den, [{_split(w): c for w, c in start.terms.items()}])
+                o.letter(RAISE, i, b), start.den,
+                [{_split(w): c for w, c in start.terms.items()}])
         x, den, folds = chain
         while len(folds) <= rho:
             nxt = {}
@@ -237,30 +233,24 @@ def apply_relations(o, v, g, ev, memo=None):
 
 def _lowering_monomials(o, caps, drop_cap):
     """All pure-lowering monomials within the exponent caps and the drop cap."""
-    d, A = o.datum, o.algebra
-    nroots = len(d.pos_roots)
+    roots = o.datum.pos_roots
+    opts = [sorted(o.algebra.monomials_with_exp_le(c)) if c >= 0 else [] for c in caps]
     out = []
 
-    def at_root(ri, acc, rem):
-        if ri == nroots:
-            out.append(tuple(acc))
+    def at(ri, bi, mon, rem):
+        """mon, extended by root ri's factors from its bi-th option on, then later roots'."""
+        if ri == len(roots):
+            out.append(mon)
             return
-        beta = d.pos_roots[ri]
-        opts = sorted(A.monomials_with_exp_le(caps[ri])) if caps[ri] >= 0 else []
+        at(ri + 1, 0, mon, rem)
+        beta = roots[ri]
+        kmax = min(rem[t] // beta[t] for t in range(len(beta)) if beta[t])
+        for j in range(bi, len(opts[ri])):
+            for k in range(1, kmax + 1):
+                at(ri, j + 1, mon + (lower_dp(ri, opts[ri][j], k),),
+                   tuple(r - k * c for r, c in zip(rem, beta)))
 
-        def pick(bi, rem2):
-            at_root(ri + 1, acc, rem2)
-            for j in range(bi, len(opts)):
-                b = opts[j]
-                kmax = min(rem2[t] // beta[t] for t in range(len(beta)) if beta[t])
-                for k in range(1, kmax + 1):
-                    acc.append(lower_dp(ri, b, k))
-                    pick(j + 1, tuple(r - k * c for r, c in zip(rem2, beta)))
-                    acc.pop()
-
-        pick(0, rem)
-
-    at_root(0, [], tuple(drop_cap))
+    at(0, 0, (), tuple(drop_cap))
     return out
 
 
@@ -276,11 +266,10 @@ def spanning_set(datum, lam, algebra, window=None):
 class ClosureState:
     """One closure pass: window contents and the saturated relation row spaces."""
 
-    def __init__(self, oracle, base, ext, spaces):
+    def __init__(self, oracle, base_set, ext_set, spaces):
         self.oracle = oracle
-        self.base = base
-        self.base_set = frozenset(base)
-        self.ext_set = frozenset(ext)
+        self.base_set = base_set
+        self.ext_set = ext_set
         self.spaces = spaces
 
     def _drop_of(self, vec):
@@ -298,7 +287,7 @@ class ClosureState:
 
     def dimension_and_character(self, datum, lam):
         bcount = {}
-        for m in self.base:
+        for m in self.base_set:
             dr = monomial_weight_drop(self.oracle, m)
             bcount[dr] = bcount.get(dr, 0) + 1
         char_map = {}
@@ -315,14 +304,13 @@ class ClosureState:
         return dim, char_map
 
 
-def _closure_pass(datum, lam, algebra, ev, window, slack, base, ev_gm, left_product):
-    """One pass at `slack`; `base`, `ev_gm` and `left_product` are the closure's."""
+def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm, left_product):
+    """One pass at `slack`; `base_set`, `ev_gm` and `left_product` are the closure's."""
     o = get_oracle(datum, algebra)
     ext_caps = tuple(c + slack for c in window.exp_caps)
     ext_drop = tuple(c + slack for c in window.drop_cap)
     ext = _lowering_monomials(o, ext_caps, ext_drop)
-    ext_set = set(ext)
-    base_set = set(base)
+    ext_set = frozenset(ext)
 
     def new_space():
         return RowSpace(char=ev.char, key=lambda mon: (mon in base_set, mon))
@@ -399,7 +387,7 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base, ev_gm, left_prod
                     spaces[tot] = sp
                 sp.insert(w)
 
-    return ClosureState(o, base, ext, spaces)
+    return ClosureState(o, base_set, ext_set, spaces)
 
 
 @dataclass
@@ -457,7 +445,7 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     # the base window and the memos depend only on this call's arguments
     o = get_oracle(datum, algebra)
     phase1 = _Phase1(o, eval_data)
-    memos = (_lowering_monomials(o, window.exp_caps, window.drop_cap),
+    memos = (frozenset(_lowering_monomials(o, window.exp_caps, window.drop_cap)),
              functools.cache(lambda g, m: apply_relations(o, m, g, eval_data, phase1)),
              functools.cache(lambda lmon, m: collect(
                  o, expand_monomial(o, lmon) * expand_monomial(o, m))))
@@ -503,6 +491,8 @@ def evaluation_table(lam, points, degree):
     to the zero default, so pick `degree` well above the window the closure
     will explore.
     """
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     c = {}
     for i, pts in enumerate(points):
         if len(pts) != lam[i]:

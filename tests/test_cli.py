@@ -361,25 +361,13 @@ def test_bad_word_size_bounds(capsys, argv, named):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("weyl", "--lambda", "1", "--drop-cap", "-1"), "drop cap"),
-    (("weyl", "--lambda", "1", "--exp-caps", "-2"), "exponent caps"),
-    (("local-weyl", "--type", "A2", "--lambda", "1,0", "--exp-caps", "0,-2,0"),
-     "exponent caps"),
-    (("local-weyl", "--lambda", "2", "--drop-cap", "-2"), "drop cap"),
     (("weyl", "--lambda", "1", "--slack", "3", "--max-slack", "1"), "max_slack"),
     (("weyl", "--lambda", "1", "--max-slack", "-3"), "max_slack"),
     (("local-weyl", "--lambda", "1", "--eval", "points:4", "--max-slack", "0"),
      "max_slack"),
-    (("weyl", "--type", "A2", "--lambda", "1,1", "--exp-caps", "0,0,1,7"),
-     "--exp-caps needs 3 entries"),
-    (("weyl", "--type", "A2", "--lambda", "1,1", "--drop-cap", "2,2,5"),
-     "--drop-cap needs 2 entries"),
-    # narrowed windows: these printed dimensions 5 and 3 as stabilized, where
-    # the adjoint Weyl module has 8 and Chari-Loktev gives 4
-    (("weyl", "--type", "A2", "--lambda", "1,1", "--drop-cap", "1,1"),
-     "drop cap (1, 1) narrower than the default (2, 2)"),
-    (("local-weyl", "--lambda", "2", "--exp-caps", "0"),
-     "exponent caps (0,) narrower than the default (1,)"),
+    # the points preset's table degree grows with --max-slack, and must stay >= 1
+    (("local-weyl", "--lambda", "1", "--eval", "points:4", "--max-slack", "-9"),
+     "max_slack"),
 ])
 def test_bad_window_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@
 and of the integer-numerator envelope elements everything else is built on."""
 from __future__ import annotations
 
+import itertools
 import math
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from hyperweyl.hyper import (
     NotInZFormError,
     collect,
     expand_monomial,
+    lower_dp,
+    monomial_weight_drop,
     ordered_monomial,
     random_gen_word,
     straighten_roundtrip_failure,
@@ -28,7 +31,7 @@ from hyperweyl.hyper import (
 from hyperweyl.oracle import CARTAN, LOWER, RAISE, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import RowSpace, reduce_mod_p
-from hyperweyl.weyl import EvalData, default_window, relation_closure
+from hyperweyl.weyl import EvalData, _lowering_monomials, default_window, relation_closure
 
 # small labels and entries, so that random rows are often dependent
 LABELS = st.integers(0, 3)
@@ -279,6 +282,46 @@ STRAIGHTEN_ORACLES = (get_oracle(build_root_datum("A", 2), CoeffAlgebra("poly", 
 def test_straighten_round_trips_random_words(o, rng):
     gens = random_gen_word(o, rng, max_k=3, max_deg=2, max_len=3)
     assert straighten_roundtrip_failure(o, gens) is None, gens
+
+
+# -- window enumeration against a brute force -----------------------------------
+
+@st.composite
+def small_windows(draw):
+    rank = draw(st.integers(1, 3))
+    o = get_oracle(build_root_datum("A", rank), CoeffAlgebra("poly", draw(st.integers(0, 2))))
+    nroots = len(o.datum.pos_roots)
+    caps = draw(st.lists(st.integers(-1, 2), min_size=nroots, max_size=nroots))
+    drop = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+                .filter(lambda d: sum(d) <= 3))
+    return o, tuple(caps), tuple(drop)
+
+
+def brute_force_window(o, caps, drop):
+    """Products over the positive roots, in root order, of every per-root factor
+    (a multiset of at most max(drop) coefficients within the root's cap, in
+    increasing order), kept when the weight drop is within the drop cap; a
+    product is cut as soon as its drop leaves the cap, since drops only grow."""
+    def fits(m):
+        return all(a <= c for a, c in zip(monomial_weight_drop(o, m), drop))
+
+    out = {()}
+    for ri, cap in enumerate(caps):
+        opts = sorted(o.algebra.monomials_with_exp_le(cap))
+        factors = [tuple(lower_dp(ri, b, len(list(g))) for b, g in itertools.groupby(ms))
+                   for size in range(max(drop) + 1)
+                   for ms in itertools.combinations_with_replacement(opts, size)]
+        out = {m + f for m in out for f in factors if fits(m + f)}
+    return out
+
+
+@SETTINGS
+@given(small_windows())
+def test_window_enumeration_matches_brute_force(window):
+    o, caps, drop = window
+    mons = _lowering_monomials(o, caps, drop)
+    assert len(mons) == len(set(mons))
+    assert set(mons) == brute_force_window(o, caps, drop)
 
 
 # -- the closure: a wider extension window never adds dimensions ----------------

@@ -1,5 +1,6 @@
 """Highest-weight quotient engine: windows, relations, dimensions, characters."""
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from hyperweyl.weyl import (
     Window,
     WeylModuleResult,
     _Phase1,
+    _lowering_monomials,
     apply_relations,
     character_check,
     default_window,
@@ -78,8 +80,8 @@ def test_spanning_set_rejects_bad_input():
 
 
 def test_window_rejects_negative_slack():
-    with pytest.raises(ValueError):
-        Window((1,), (2,), -1)
+    with pytest.raises(ValueError, match="slack must be >= 0"):
+        relation_closure(A1, (2,), P1, window=Window((1,), (2,), -1))
 
 
 @pytest.mark.parametrize("caps, drop", [
@@ -89,8 +91,9 @@ def test_window_rejects_negative_slack():
     ((0, -3, 0), (1, 1)),
 ])
 def test_window_rejects_bad_caps(caps, drop):
+    datum, lam = (A2, (1, 0)) if len(caps) == 3 else (A1, (2,))
     with pytest.raises(ValueError, match="cap"):
-        Window(caps, drop)
+        spanning_set(datum, lam, P1, Window(caps, drop))
 
 
 def test_window_allows_exponent_cap_minus_one():
@@ -120,6 +123,21 @@ def test_narrowed_window_is_rejected_and_widened_window_is_kept():
         spanning_set(A2, (1, 1), TRIVIAL, Window((0, 0, 0), (2, 2)))
     r = weyl_module_g(A2, (1, 1), window=Window((1, 1, 2), (3, 3)))
     assert (r.dimension, r.stabilized) == (8, True)
+
+
+@pytest.mark.parametrize("datum, lam, nvars, slack, digest", [
+    (A2, (1, 1), 1, 2, "d4ebb297e4f1ca41d992d3bb6951516d20f1477c60ddef744c654373ebc5886e"),
+    (A1, (2,), 2, 1, "6847c391b51f932bea3efd077d7712161effbe318ba353f35a48b8b742d5d215"),
+    (build_root_datum("D", 4), (1, 0, 0, 0), 0, 1,
+     "958de3a78f52bec09d19e0c0bd889107e58a0a31267ee74fd306af5309c8f4f8"),
+])
+def test_extension_window_keeps_its_order(datum, lam, nvars, slack, digest):
+    # the enumeration order fixes the order rows enter the row spaces in
+    w = default_window(datum, lam)
+    mons = _lowering_monomials(get_oracle(datum, CoeffAlgebra("poly", nvars)),
+                               tuple(c + slack for c in w.exp_caps),
+                               tuple(c + slack for c in w.drop_cap))
+    assert hashlib.sha256(repr(mons).encode()).hexdigest() == digest
 
 
 def test_closure_rejects_max_slack_below_slack():
@@ -169,6 +187,13 @@ def test_eval_data_validation():
         EvalData(lam=(1,), c={(1, (1,), 1): 1}).validate(A1, P1)  # node out of range
     with pytest.raises(ValueError):
         EvalData(lam=(1,), char=6)
+
+
+@pytest.mark.parametrize("val", [Fraction(1, 2), 1.5, "3"])
+def test_eval_data_rejects_non_int_scalars(val):
+    # these ended in NotInZFormError or a bare TypeError deep inside phase 1
+    with pytest.raises(ValueError, match=r"at \(0, \(1,\), 1\) is not an int"):
+        relation_closure(A1, (2,), P1, EvalData(lam=(2,), c={(0, (1,), 1): val}))
 
 
 def test_eval_data_names():
@@ -464,6 +489,13 @@ def test_point_evaluation_single_point():
 def test_evaluation_table_shape_errors():
     with pytest.raises(ValueError):
         evaluation_table((2,), [[1]], 8)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_evaluation_table_rejects_degree_below_one(degree):
+    # an empty table silently made the closure compute the graded module
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        evaluation_table((2,), [[1, 2]], degree)
 
 
 def test_inconsistent_table_shrinks_quietly():
