@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +23,6 @@ from .oracle import LOWER, RAISE, OracleElt
 from .scalars import vec_add_scaled
 
 F_DP, H_BINOM, L_GEN, E_DP = 0, 1, 2, 3
-
-_KIND_NAMES = {F_DP: "F", H_BINOM: "H", L_GEN: "L", E_DP: "E"}
 
 
 class NotInZFormError(ValueError):
@@ -129,21 +126,6 @@ def _memo_series(key, n, grow):
 
 # -- Cartan series coefficients ------------------------------------------------
 
-def _as_combo(a):
-    """Normalize an algebra element to a dict basis -> coefficient."""
-    if isinstance(a, dict):
-        return dict(a)
-    return {tuple(a): 1}
-
-
-def _combo_mul(A, c1, c2):
-    # multiplying by a monomial b1 is injective, so the inner keys are distinct
-    out = {}
-    for b1, v1 in c1.items():
-        vec_add_scaled(out, {A.mul(b1, b2): v2 for b2, v2 in c2.items()}, v1)
-    return out
-
-
 def _hvec_elt(o, hvec, b):
     out = o.zero()
     for i, c in enumerate(hvec):
@@ -174,39 +156,37 @@ def _check_root(o, alpha):
         raise ValueError(f"root index {alpha} is outside 0..{len(o.datum.pos_roots) - 1}")
 
 
-def _lambda_series_coeff(o, hvec, combo, r):
+def _lambda_series_coeff(o, hvec, b, r):
     if r < 0:
         raise ValueError("series order must be >= 0")
+    o.algebra.validate(b)
 
     def grow(lam, n):
-        # Newton's identity m Λ_m = -sum_{s=1..m} x_s Λ_{m-s} with x_s = h ⊗ combo^s;
+        # Newton's identity m Λ_m = -sum_{s=1..m} x_s Λ_{m-s} with x_s = h ⊗ b^s;
         # the x_s are Cartan elements, so they commute with every Λ_j
-        xs, pw = [None], {o.algebra.unit(): 1}
-        for _ in range(n):
-            pw = _combo_mul(o.algebra, pw, combo)
-            xs.append(sum((c * _hvec_elt(o, hvec, b) for b, c in pw.items()), o.zero()))
+        xs = [None] + [_hvec_elt(o, hvec, o.algebra.pow(b, s)) for s in range(1, n + 1)]
         for m in range(len(lam), n + 1):
             terms = (xs[s] * lam[m - s] for s in range(1, m + 1))
             lam.append(Fraction(-1, m) * sum(terms, o.zero()) if m else o.one())
 
-    key = (o, L_GEN, tuple(hvec), tuple(sorted(combo.items())))
+    key = (o, L_GEN, tuple(hvec), b)
     return _memo_series(key, r, grow)[r]
 
 
 def lambda_poly(o, i, a, r):
     """Coefficient of u^r in exp(-sum_{s>=1} (h_i ⊗ a^s)/s u^s).
 
-    a is a single coefficient-algebra basis element or a dict combination.
-    The result is memoized per oracle and shared between callers: do not
-    mutate it.
+    a is one coefficient-algebra basis element; anything else raises
+    ValueError.  The result is memoized per oracle and shared between
+    callers: do not mutate it.
     """
-    return _lambda_series_coeff(o, _simple_coroot(o, i), _as_combo(a), r)
+    return _lambda_series_coeff(o, _simple_coroot(o, i), a, r)
 
 
 def lambda_poly_root(o, alpha, a, r):
     """Same series for the coroot of an arbitrary positive root."""
     _check_root(o, alpha)
-    return _lambda_series_coeff(o, o.datum.coroots[alpha], _as_combo(a), r)
+    return _lambda_series_coeff(o, o.datum.coroots[alpha], a, r)
 
 
 def lambda_power_reduction(o, i, a, k, r):
@@ -288,7 +268,7 @@ def expand_gen(o, g):
     elif kind == H_BINOM:
         out = _binom_elt(o, _simple_coroot(o, idx), 0, k)
     else:
-        out = _lambda_series_coeff(o, _simple_coroot(o, idx), {exps: 1}, k)
+        out = _lambda_series_coeff(o, _simple_coroot(o, idx), exps, k)
     _GEN_CACHE[key] = out
     return out
 
@@ -419,7 +399,7 @@ def format_gensym(o, g):
         return f"H({idx + 1})^[{k}]"
     if kind == L_GEN:
         return f"L({idx + 1},{b},{k})"
-    return f"{_KIND_NAMES[kind]}({o.datum.format_root(idx)},{b})^({k})"
+    return f"{'F' if kind == F_DP else 'E'}({o.datum.format_root(idx)},{b})^({k})"
 
 
 def format_monomial(o, m):
@@ -446,45 +426,8 @@ def format_hyper(o, h):
     return " + ".join(bits)
 
 
-_GEN_RE = re.compile(r"([FE])\(([^,()]+),([^,()]+)\)\^\((\d+)\)")
-_H_RE = re.compile(r"H\((\d+)\)\^\[(\d+)\]")
-_L_RE = re.compile(r"L\((\d+),([^,()]+),(\d+)\)")
-
-
-def parse_gensym(o, tok):
-    m = _GEN_RE.fullmatch(tok)
-    if m:
-        kind = F_DP if m.group(1) == "F" else E_DP
-        alpha = o.datum.parse_root(m.group(2))
-        return (kind, alpha, o.algebra.parse(m.group(3)), int(m.group(4)))
-    m = _H_RE.fullmatch(tok)
-    if m:
-        return cartan_binom(int(m.group(1)) - 1, int(m.group(2)), o.algebra.unit())
-    m = _L_RE.fullmatch(tok)
-    if m:
-        return lambda_gen(int(m.group(1)) - 1, o.algebra.parse(m.group(2)),
-                          int(m.group(3)), o.algebra.unit())
-    raise ValueError(f"bad generator token {tok!r}")
-
-
-def parse_monomial(o, s):
-    s = s.strip()
-    if s == "1":
-        return ()
-    return ordered_monomial(parse_gensym(o, tok) for tok in s.split())
-
-
 def hyper_to_json(o, h):
     return [[format_monomial(o, m), str(h[m])] for m in sorted(h)]
-
-
-def hyper_from_json(o, pairs):
-    out = {}
-    for ms, cs in pairs:
-        c = int(cs)
-        if c:
-            out[parse_monomial(o, ms)] = c
-    return out
 
 
 # -- identity verification -------------------------------------------------------
@@ -587,12 +530,12 @@ def _check_commutrels5(o, p):
 def _check_a_k_reduction(o, p):
     i, a, k, r = p["i"], tuple(p["a"]), p["k"], p["r"]
     red = lambda_power_reduction(o, i, a, k, r)
-    lhs = lambda_poly(o, i, {o.algebra.pow(a, k): 1}, r)
+    lhs = lambda_poly(o, i, o.algebra.pow(a, k), r)
     rhs = o.zero()
     for parts, c in red.items():
         term = o.one()
         for s in parts:
-            term = term * lambda_poly(o, i, {a: 1}, s)
+            term = term * lambda_poly(o, i, a, s)
         rhs = rhs + c * term
     rep = _report(o, p, lhs, rhs)
     rep["reduction"] = {",".join(map(str, parts)): c for parts, c in sorted(red.items())}

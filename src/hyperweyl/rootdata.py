@@ -198,23 +198,6 @@ class RootDatum:
             parts.append(f"a{i + 1}" if c == 1 else f"{c}a{i + 1}")
         return "+".join(parts)
 
-    def parse_root(self, s):
-        coords = [0] * self.rank
-        for part in s.split("+"):
-            part = part.strip()
-            m = re.fullmatch(r"(\d*)a(\d+)", part)
-            if not m:
-                raise ValueError(f"bad root syntax {s!r}")
-            c = int(m.group(1)) if m.group(1) else 1
-            i = int(m.group(2)) - 1
-            if not 0 <= i < self.rank:
-                raise ValueError(f"root index out of range in {s!r}")
-            coords[i] += c
-        coords = tuple(coords)
-        if coords not in self.root_index:
-            raise ValueError(f"{s!r} is not a positive root of {self.type_string()}")
-        return self.root_index[coords]
-
 
 def build_root_datum(series, rank):
     """Root datum for a simple type, e.g. build_root_datum("A", 2)."""

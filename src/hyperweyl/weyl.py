@@ -28,8 +28,8 @@ from .hyper import (
     NotInZFormError,
     _monomial_of_word,
     collect,
-    expand_gen,
     expand_monomial,
+    format_gensym,
     lower_dp,
     monomial_weight_drop,
     raise_dp,
@@ -90,6 +90,7 @@ def _checked_window(datum, lam, algebra, window):
 
 
 def default_window(datum, lam, slack=2):
+    lam = datum.validate_weight(lam)
     caps = tuple(datum.pairing(lam, idx) - 1 for idx in range(len(datum.pos_roots)))
     drop = datum.lambda_minus_w0_lambda(lam)
     return Window(caps, drop, slack)
@@ -200,7 +201,8 @@ class _Phase1:
 
 
 def apply_relations(o, v, g, ev, memo=None):
-    """Value on w of g acting on the lowering monomial v, as a sparse vector.
+    """Value on w of the raising power g = E(i,b)^(rho) acting on the lowering
+    monomial v, as a sparse vector; any other gensym raises ValueError.
 
     Works modulo the left ideal U·n+, which dies on w; E(i,b)^(rho) * v is e
     times E^(rho-1) * v, e = x+_i ⊗ b, memoized in `memo` (a fresh `_Phase1`
@@ -212,13 +214,11 @@ def apply_relations(o, v, g, ev, memo=None):
     m_F ends in a unit-coefficient power beyond the weight pairing.  A value
     the denominator does not divide raises NotInZFormError.
     """
+    if g[0] != E_DP:
+        raise ValueError(f"apply_relations takes raising powers, got {format_gensym(o, g)}")
     if memo is None:
         memo = _Phase1(o, ev)
-    if g[0] == E_DP:
-        terms, den = memo.raising_product(g[1], g[2], g[3], v)
-    else:  # any other gensym
-        e = o.mul_mod_raising(expand_gen(o, g), expand_monomial(o, v))
-        terms, den = {_split(w): c for w, c in e.terms.items()}, e.den
+    terms, den = memo.raising_product(g[1], g[2], g[3], v)
     acc = {}
     for (head, tail), c in terms.items():
         m, fact = memo.lowering_part(head)
@@ -493,6 +493,8 @@ def evaluation_table(lam, points, degree):
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    if len(points) != len(lam):
+        raise ValueError(f"{len(lam)} nodes need {len(lam)} point groups, got {len(points)}")
     c = {}
     for i, pts in enumerate(points):
         if len(pts) != lam[i]:

@@ -78,7 +78,7 @@ def test_lambda_json_round_trips(capsys, typ, a):
     for e in obj["orders"]:
         assert set(e) == {"r", "element"}
         want = hyper.collect(o, hyper.lambda_poly(o, 0, o.algebra.parse(a), e["r"]))
-        assert hyper.hyper_from_json(o, e["element"]) == want
+        assert e["element"] == hyper.hyper_to_json(o, want)
 
 
 @pytest.mark.parametrize("flag", ["--upto", "--r"])
@@ -322,6 +322,13 @@ def test_eval_table_lambda_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "local-weyl", "--type", "A1", "--lambda", "1",
                        "--eval-table", path)
     assert code == EXIT_USAGE and "disagrees" in err
+
+
+def test_eval_table_short_lambda_is_usage_error(capsys, tmp_path):
+    path = table_file(tmp_path, {"lambda": [1], "c": []})
+    code, out, err = run(capsys, "local-weyl", "--type", "A2", "--eval-table", path)
+    assert code == EXIT_USAGE and not out
+    assert "(1,) is not an integral weight of A2" in err
 
 
 # -- basis-check and usage plumbing -----------------------------------------------

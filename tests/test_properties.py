@@ -22,6 +22,7 @@ from hyperweyl.hyper import (
     NotInZFormError,
     collect,
     expand_monomial,
+    format_monomial,
     lower_dp,
     monomial_weight_drop,
     ordered_monomial,
@@ -168,10 +169,10 @@ def elements(draw, o):
 
 
 @st.composite
-def monomials(draw, o):
+def monomials(draw, o, max_deg=1):
     """An ordered basis monomial with small exponents and coefficient degrees."""
     A, d = o.algebra, o.datum
-    mons = A.monomials_up_to_deg(1)
+    mons = A.monomials_up_to_deg(max_deg)
     nonunit = [b for b in mons if b != A.unit()]
     roots, nodes = range(len(d.pos_roots)), range(d.rank)
     gens = st.one_of(
@@ -282,6 +283,39 @@ STRAIGHTEN_ORACLES = (get_oracle(build_root_datum("A", 2), CoeffAlgebra("poly", 
 def test_straighten_round_trips_random_words(o, rng):
     gens = random_gen_word(o, rng, max_k=3, max_deg=2, max_len=3)
     assert straighten_roundtrip_failure(o, gens) is None, gens
+
+
+def neighbours(o, g):
+    """The gensyms that differ from g in exactly one of index, coefficient and order."""
+    kind, idx, exps, k = g
+    A = o.algebra
+    if kind == H_BINOM:
+        idxs, coeffs = range(o.datum.rank), []
+    else:
+        idxs = range(o.datum.rank if kind == L_GEN else len(o.datum.pos_roots))
+        coeffs = [b for b in A.monomials_up_to_deg(2) if kind != L_GEN or b != A.unit()]
+    yield from ((kind, j, exps, k) for j in idxs if j != idx)
+    yield from ((kind, idx, b, k) for b in coeffs if b != exps)
+    yield from ((kind, idx, exps, j) for j in range(1, 4) if j != k)
+
+
+@pytest.mark.parametrize("o", STRAIGHTEN_ORACLES, ids=("A2-poly2", "D4-poly1"))
+@SETTINGS
+@given(data=st.data())
+def test_distinct_monomials_format_to_distinct_text(o, data):
+    # the basis text is output-only, so no parser notices two monomials named
+    # alike; monomials one field apart are the likeliest to collide
+    mons = data.draw(st.lists(monomials(o, max_deg=2), max_size=10, unique=True),
+                     label="monomials")
+    assert len({format_monomial(o, m) for m in mons}) == len(mons)
+    for m in mons:
+        for pos, g in enumerate(m):
+            for h in neighbours(o, g):
+                try:
+                    other = ordered_monomial(m[:pos] + (h,) + m[pos + 1:])
+                except ValueError:
+                    continue  # h repeats the label of another factor
+                assert format_monomial(o, other) != format_monomial(o, m), (m, other)
 
 
 # -- window enumeration against a brute force -----------------------------------

@@ -202,13 +202,11 @@ def test_weyl_dimension_matches_orbit_counting():
     assert a3.weyl_dimension((0, 1, 0)) == len(a3.weyl_orbit((0, 1, 0)))
 
 
-def test_format_parse_root():
+def test_format_root_is_injective():
+    # the basis text is output-only, so no parser notices two roots named alike
+    for typ in "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D3 D4 F4 G2 E6".split():
+        d = build_root_datum(*parse_type_string(typ))
+        names = [d.format_root(i) for i in range(len(d.pos_roots))]
+        assert len(set(names)) == len(names), typ
     d = build_root_datum("B", 2)
-    for i in range(len(d.pos_roots)):
-        assert d.parse_root(d.format_root(i)) == i
     assert d.format_root(d.root_index[(1, 2)]) == "a1+2a2"
-    assert d.parse_root("a1+a2") == d.root_index[(1, 1)]
-    with pytest.raises(ValueError):
-        d.parse_root("a1+a3")
-    with pytest.raises(ValueError):
-        d.parse_root("2a1")

@@ -210,11 +210,11 @@ def test_apply_relations_raising_kills_highest_weight():
 
 
 def test_apply_relations_cartan_scalar():
+    # e f w = h w = lam(h) w: the Cartan scalar arises from [e, f] = h
     o = get_oracle(A1, P1)
-    out = apply_relations(o, (), cartan_binom(0, 1, (0,)), graded((1,)))
-    assert out == {(): 1}
-    out = apply_relations(o, (), cartan_binom(0, 1, (0,)), graded((4,)))
-    assert out == {(): 4}
+    f, e = (lower_dp(0, (0,), 1),), raise_dp(0, (0,), 1)
+    for lam in (1, 4):
+        assert apply_relations(o, f, e, graded((lam,))) == {(): lam}
 
 
 def test_apply_relations_ef_squared_identity():
@@ -225,10 +225,11 @@ def test_apply_relations_ef_squared_identity():
 
 
 def test_apply_relations_cartan_shift_through_lowering():
-    # h f w = f (h - 2) w in A1
+    # e^(2) f^(2) w = binom(h, 2) w: the Cartan binomial is shifted past f
     o = get_oracle(A1, P1)
-    out = apply_relations(o, (lower_dp(0, (0,), 1),), cartan_binom(0, 1, (0,)), graded((1,)))
-    assert out == {(lower_dp(0, (0,), 1),): -1}
+    f2, e2 = (lower_dp(0, (0,), 2),), raise_dp(0, (0,), 2)
+    for lam, want in ((2, 1), (3, 3), (5, 10)):
+        assert apply_relations(o, f2, e2, graded((lam,))) == {(): want}
 
 
 def test_apply_relations_annihilator_only_rightmost():
@@ -236,10 +237,18 @@ def test_apply_relations_annihilator_only_rightmost():
     o = get_oracle(A2, TRIVIAL)
     ev = graded((1, 1))
     m = (lower_dp(0, (), 2), lower_dp(1, (), 1))
-    out = apply_relations(o, m, cartan_binom(0, 1, ()), ev)
-    assert out, "mid-monomial lowering power must not annihilate"
-    out = apply_relations(o, (lower_dp(0, (), 2),), cartan_binom(0, 1, ()), ev)
+    out = apply_relations(o, m, raise_dp(0, (), 1), ev)
+    assert out == {(lower_dp(0, (), 1), lower_dp(1, (), 1)): 1}, \
+        "mid-monomial lowering power must not annihilate"
+    out = apply_relations(o, m, raise_dp(1, (), 1), ev)
     assert out == {}, "rightmost over-cap lowering power annihilates"
+
+
+def test_apply_relations_rejects_non_raising_gensyms():
+    o = get_oracle(A1, P1)
+    for g in (cartan_binom(0, 1, (0,)), lower_dp(0, (0,), 1)):
+        with pytest.raises(ValueError, match="takes raising powers"):
+            apply_relations(o, (), g, graded((1,)))
 
 
 def evaluate_on_highest(o, ev, m):
@@ -466,6 +475,18 @@ def test_dimension_nonincreasing_in_slack():
     assert dims[-1] == 4
 
 
+@pytest.mark.parametrize("call", [
+    lambda: default_window(A2, (1,)),
+    lambda: spanning_set(A2, (1,), P1),
+    lambda: relation_closure(A2, (1,), P1),
+    lambda: weyl_module_g(A2, (1,)),
+], ids=["default_window", "spanning_set", "relation_closure", "weyl_module_g"])
+def test_short_weight_is_a_value_error(call):
+    # the window's pairings read past the end of a short weight
+    with pytest.raises(ValueError, match=r"\(1,\) is not an integral weight of A2"):
+        call()
+
+
 def test_eval_weight_mismatch_rejected():
     with pytest.raises(ValueError):
         relation_closure(A1, (2,), P1, graded((1,)))
@@ -489,6 +510,11 @@ def test_point_evaluation_single_point():
 def test_evaluation_table_shape_errors():
     with pytest.raises(ValueError):
         evaluation_table((2,), [[1]], 8)
+    # a missing point group made its node act as evaluation at 0
+    for lam, points in (((1, 1), [[2]]), ((1, 1), [[2], [3], [4]]), ((1,), [[2], [3]])):
+        n = len(lam)
+        with pytest.raises(ValueError, match=f"{n} nodes need {n} point groups, got {len(points)}"):
+            evaluation_table(lam, points, 8)
 
 
 @pytest.mark.parametrize("degree", [0, -1])
