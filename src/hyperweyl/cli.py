@@ -165,7 +165,8 @@ def load_eval_table(path, algebra):
 
     Shape: {"lambda": [2], "c": [{"i": 1, "b": "t^2", "r": 1, "value": "3"}],
     "field": {"char": 5}}.  Node index i is 1-based, b parses through the
-    coefficient algebra, value is an integer (string or number).
+    coefficient algebra, value is an integer (string or number); each
+    (i, b, r) appears at most once.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -175,6 +176,8 @@ def load_eval_table(path, algebra):
     except json.JSONDecodeError as err:
         raise UsageError(f"malformed eval table JSON: {err}")
     try:
+        if not isinstance(data["lambda"], list):
+            raise TypeError("lambda must be a JSON list")
         lam = tuple(int(x) for x in data["lambda"])
         field = data.get("field", {})
         if not isinstance(field, dict):
@@ -185,12 +188,13 @@ def load_eval_table(path, algebra):
             i = int(entry["i"]) - 1
             b = algebra.parse(str(entry["b"]))
             r = int(entry["r"])
-            val = int(str(entry["value"]))
-            if val:
-                c[(i, b, r)] = val
+            if (i, b, r) in c:
+                raise ValueError(f"repeated entry at node {i + 1}, "
+                                 f"b {algebra.format(b)}, r {r}")
+            c[(i, b, r)] = int(str(entry["value"]))
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"bad eval table entry: {err}")
-    return EvalData(lam=lam, char=char, c=c)
+    return EvalData(lam=lam, char=char, c={key: val for key, val in c.items() if val})
 
 
 def _parse_points(text, rank):

@@ -164,6 +164,10 @@ class Oracle:
         self._insert_cache = {}
         self._insert_mod_cache = {}
         self._bracket_cache = {}
+        # closure products that depend only on this envelope, filled by `weyl`
+        # and kept across closures: raising chains on lowering monomials,
+        # collected Cartan words, collected products of two lowering monomials
+        self._chains, self._cartan_collects, self._left_products = {}, {}, {}
 
     # -- letters and constructors -------------------------------------------
 

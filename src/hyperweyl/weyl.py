@@ -153,21 +153,26 @@ def _split(w):
 
 
 class _Phase1:
-    """Memos of `apply_relations` for one oracle and eval data, kept for a closure;
-    `chains` maps (node, coefficient, v) to the raising letter, the denominator
-    of v and the split numerators of E^rho * v for rho = 0, 1, ... so far."""
+    """Memos of `apply_relations` for one eval data, kept for a closure: the
+    lowering parts, whose death test reads λ, and the Cartan-word values.
+
+    What depends only on the oracle outlives the closure in the oracle's
+    stores, so even a fresh `_Phase1` reuses them: `o._chains` maps (node,
+    coefficient, v) to the raising letter, the denominator of v and the split
+    numerators of E^rho * v for rho = 0, 1, ... so far, and
+    `o._cartan_collects` maps a Cartan word to its collect."""
 
     def __init__(self, o, ev):
         self.o, self.ev = o, ev
-        self.chains, self.lowering, self.cartan = {}, {}, {}
+        self.lowering, self.cartan = {}, {}
 
     def raising_product(self, i, b, rho, v):
         """(split numerators, denominator) of E(i,b)^(rho) * v modulo U·n+."""
         o = self.o
-        chain = self.chains.get((i, b, v))
+        chain = o._chains.get((i, b, v))
         if chain is None:
             start = expand_monomial(o, v)  # pure lowering: already raising-free
-            chain = self.chains[(i, b, v)] = (
+            chain = o._chains[(i, b, v)] = (
                 o.letter(RAISE, i, b), start.den,
                 [{_split(w): c for w, c in start.terms.items()}])
         x, den, folds = chain
@@ -193,7 +198,10 @@ class _Phase1:
     def cartan_value(self, wc):
         """Value on w of collect(wc), each monomial the product of its scalars."""
         if wc not in self.cartan:
-            ev, col = self.ev, collect(self.o, OracleElt(self.o, {wc: 1}))
+            o, ev = self.o, self.ev
+            col = o._cartan_collects.get(wc)
+            if col is None:
+                col = o._cartan_collects[wc] = collect(o, OracleElt(o, {wc: 1}))
             self.cartan[wc] = sum(c * math.prod(
                 ev.chi_binom(i, k) if kind == H_BINOM else ev.chi_series(i, exps, k)
                 for kind, i, exps, k in m) for m, c in col.items())
@@ -206,13 +214,14 @@ def apply_relations(o, v, g, ev, memo=None):
 
     Works modulo the left ideal U·n+, which dies on w; E(i,b)^(rho) * v is e
     times E^(rho-1) * v, e = x+_i ⊗ b, memoized in `memo` (a fresh `_Phase1`
-    when None).  A raising-free normal word is a lowering word w_F times a
-    Cartan word w_C, and e meets only w_F: U·n+ is stable under right
-    multiplication by the commuting Cartan letters.  By PBW uniqueness w_F·w_C
-    collects to (prod k!) m_F ⊗ collect(w_C), so m_F gets c (prod k!) times
-    the `chi_binom`/`chi_series` value of collect(w_C), for any table, unless
-    m_F ends in a unit-coefficient power beyond the weight pairing.  A value
-    the denominator does not divide raises NotInZFormError.
+    when None, which still reuses the oracle's chains).  A raising-free normal
+    word is a lowering word w_F times a Cartan word w_C, and e meets only w_F:
+    U·n+ is stable under right multiplication by the commuting Cartan
+    letters.  By PBW uniqueness w_F·w_C collects to (prod k!) m_F ⊗
+    collect(w_C), so m_F gets c (prod k!) times the `chi_binom`/`chi_series`
+    value of collect(w_C), for any table, unless m_F ends in a
+    unit-coefficient power beyond the weight pairing.  A value the
+    denominator does not divide raises NotInZFormError.
     """
     if g[0] != E_DP:
         raise ValueError(f"apply_relations takes raising powers, got {format_gensym(o, g)}")
@@ -304,8 +313,17 @@ class ClosureState:
         return dim, char_map
 
 
-def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm, left_product):
-    """One pass at `slack`; `base_set`, `ev_gm` and `left_product` are the closure's."""
+def _left_product(o, lmon, m):
+    """collect(lmon * m) for lowering monomials, kept in the oracle's store."""
+    got = o._left_products.get((lmon, m))
+    if got is None:
+        got = o._left_products[(lmon, m)] = collect(
+            o, expand_monomial(o, lmon) * expand_monomial(o, m))
+    return got
+
+
+def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
+    """One pass at `slack`; `base_set` and `ev_gm` are the closure's."""
     o = get_oracle(datum, algebra)
     ext_caps = tuple(c + slack for c in window.exp_caps)
     ext_drop = tuple(c + slack for c in window.drop_cap)
@@ -378,7 +396,7 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm, left_
             for lmon in lmons:
                 w = {}
                 for m, c in v.items():
-                    vec_add_scaled(w, left_product(lmon, m), c)
+                    vec_add_scaled(w, _left_product(o, lmon, m), c)
                 if not w or any(mon not in ext_set for mon in w):
                     continue
                 sp = spaces.get(tot)
@@ -442,13 +460,11 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     if max_slack < window.slack:
         raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 
-    # the base window and the memos depend only on this call's arguments
+    # the base window and the phase 1 values depend only on this call's arguments
     o = get_oracle(datum, algebra)
     phase1 = _Phase1(o, eval_data)
     memos = (frozenset(_lowering_monomials(o, window.exp_caps, window.drop_cap)),
-             functools.cache(lambda g, m: apply_relations(o, m, g, eval_data, phase1)),
-             functools.cache(lambda lmon, m: collect(
-                 o, expand_monomial(o, lmon) * expand_monomial(o, m))))
+             functools.cache(lambda g, m: apply_relations(o, m, g, eval_data, phase1)))
     slack = window.slack
     state = _closure_pass(datum, lam, algebra, eval_data, window, slack, *memos)
     dim, char_map = state.dimension_and_character(datum, lam)

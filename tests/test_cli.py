@@ -317,6 +317,21 @@ def test_eval_table_non_object_field(capsys, tmp_path):
     assert code == EXIT_USAGE and "bad eval table entry" in err
 
 
+@pytest.mark.parametrize("typ, obj, named", [
+    # these were read silently: the last repeated value won, a 0 was dropped
+    # in favour of the value before it, and "11" was iterated as (1, 1)
+    ("A1", {"lambda": [2], "c": [{"i": 1, "b": "t", "r": 1, "value": v} for v in (-3, 5)]},
+     "repeated entry at node 1, b t, r 1"),
+    ("A1", {"lambda": [2], "c": [{"i": 1, "b": "t^2", "r": 2, "value": v} for v in (-3, 0)]},
+     "repeated entry at node 1, b t^2, r 2"),
+    ("A2", {"lambda": "11", "c": []}, "lambda must be a JSON list"),
+], ids=["repeated-value", "repeated-zero", "lambda-string"])
+def test_eval_table_rejects_ambiguous_tables(capsys, tmp_path, typ, obj, named):
+    code, out, err = run(capsys, "local-weyl", "--type", typ,
+                         "--eval-table", table_file(tmp_path, obj))
+    assert code == EXIT_USAGE and not out and named in err
+
+
 def test_eval_table_lambda_mismatch(capsys, tmp_path):
     path = table_file(tmp_path, {"lambda": [2], "c": []})
     code, _, err = run(capsys, "local-weyl", "--type", "A1", "--lambda", "1",

@@ -18,7 +18,7 @@ from hyperweyl.hyper import (
     quotient_drop_raising,
     raise_dp,
 )
-from hyperweyl.oracle import RAISE, OracleElt, get_oracle
+from hyperweyl.oracle import RAISE, Oracle, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import vec_add_scaled
 from hyperweyl.weyl import (
@@ -301,8 +301,9 @@ def check_raising_shortcuts(datum, lam, alg):
     # each raising power from the one below it, evaluates without collecting
     # the whole product, and skips E(i,b)^(rho) on targets whose drop in
     # coordinate i is below rho; all of it must match collect-then-evaluate
-    # for every table, in chars 0 and 5
-    o = get_oracle(datum, alg)
+    # for every table, in chars 0 and 5.  The oracle is fresh, so the first
+    # table meets each chain cold and the later ones reuse it
+    o = Oracle(datum, alg)
     evs = [EvalData(lam=lam, char=p, c=c) for c in shortcut_tables(lam, alg) for p in (0, 5)]
     memos = [_Phase1(o, ev) for ev in evs]
     base = default_window(datum, lam)
@@ -411,6 +412,38 @@ def row_space_digest(res):
 ], ids=["A1-3-char3", "A2-10", "A1-2-points-char5", "g-A2-11-char3"])
 def test_row_spaces_match_the_all_pairs_loop(run, digest):
     assert row_space_digest(run()) == digest
+
+
+_ROW_SPACE_CASES = test_row_spaces_match_the_all_pairs_loop.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_ROW_SPACE_CASES.args, **_ROW_SPACE_CASES.kwargs)
+def test_row_spaces_do_not_depend_on_earlier_closures(monkeypatch, run, digest):
+    # the oracle keeps chains, Cartan-word collects and left products across
+    # closures: the same rows after other closures on it, and on a fresh one
+    relation_closure(A1, (3,), P1, graded((3,), char=5))
+    relation_closure(A1, (2,), P1, EvalData(lam=(2,), c=evaluation_table((2,), [[3, 7]], 64)))
+    assert row_space_digest(run()) == digest
+    monkeypatch.setattr("hyperweyl.oracle._ORACLE_CACHE", {})
+    assert row_space_digest(run()) == digest
+
+
+def test_a_second_closure_adds_no_oracle_products(monkeypatch):
+    # chains and Cartan-word collects depend on the oracle alone, so a closure
+    # at the same weight in another characteristic or with another table
+    # finds every one it needs already built
+    monkeypatch.setattr("hyperweyl.oracle._ORACLE_CACHE", {})
+    o = get_oracle(A1, P1)
+    sizes = (0, 0)
+    for first, second in ((graded((2,), char=5), graded((2,), char=3)),
+                          (EvalData(lam=(2,), c=evaluation_table((2,), [[1, 2]], 64)),
+                           EvalData(lam=(2,), char=5,
+                                    c=evaluation_table((2,), [[3, 7]], 64)))):
+        relation_closure(A1, (2,), P1, first)
+        assert len(o._chains) > sizes[0], "the first closure of a pair builds chains"
+        sizes = len(o._chains), len(o._cartan_collects)
+        relation_closure(A1, (2,), P1, second)
+        assert (len(o._chains), len(o._cartan_collects)) == sizes
 
 
 def test_phase_memos_live_for_the_whole_closure(monkeypatch):
