@@ -164,10 +164,15 @@ def load_eval_table(path, algebra):
     """EvalData from a JSON table file.
 
     Shape: {"lambda": [2], "c": [{"i": 1, "b": "t^2", "r": 1, "value": "3"}],
-    "field": {"char": 5}}.  Node index i is 1-based, b parses through the
-    coefficient algebra, value is an integer (string or number); each
-    (i, b, r) appears at most once.
+    "field": {"char": 5}}.  lambda, i, r and char are JSON integers; node index
+    i is 1-based, b parses through the coefficient algebra, value is an integer
+    (decimal string or number); each (i, b, r) appears at most once.
     """
+    def integer(name, x):
+        if type(x) is not int:
+            raise TypeError(f"{name} must be a JSON integer, got {json.dumps(x)}")
+        return x
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -178,16 +183,16 @@ def load_eval_table(path, algebra):
     try:
         if not isinstance(data["lambda"], list):
             raise TypeError("lambda must be a JSON list")
-        lam = tuple(int(x) for x in data["lambda"])
+        lam = tuple(integer("lambda", x) for x in data["lambda"])
         field = data.get("field", {})
         if not isinstance(field, dict):
             raise TypeError("field must be an object")
-        char = int(field.get("char", 0))
+        char = integer("field.char", field.get("char", 0))
         c = {}
         for entry in data.get("c", []):
-            i = int(entry["i"]) - 1
+            i = integer("i", entry["i"]) - 1
             b = algebra.parse(str(entry["b"]))
-            r = int(entry["r"])
+            r = integer("r", entry["r"])
             if (i, b, r) in c:
                 raise ValueError(f"repeated entry at node {i + 1}, "
                                  f"b {algebra.format(b)}, r {r}")

@@ -263,6 +263,11 @@ def _lowering_monomials(o, caps, drop_cap):
     return out
 
 
+def _inside(caps, vec):
+    """Whether every factor of every monomial of vec is within the exponent caps."""
+    return all(max(b, default=0) <= caps[ri] for m in vec for _f, ri, b, _k in m)
+
+
 def spanning_set(datum, lam, algebra, window=None):
     """Pure-lowering monomials spanning the quotient (the base window)."""
     window = _checked_window(datum, lam, algebra, window)
@@ -273,13 +278,18 @@ def spanning_set(datum, lam, algebra, window=None):
 # -- relation closure ---------------------------------------------------------------
 
 class ClosureState:
-    """One closure pass: window contents and the saturated relation row spaces."""
+    """One closure pass: the base window, the extension window's (caps, drop)
+    bounds and the saturated relation row spaces; `ext_set` is enumerated on read."""
 
-    def __init__(self, oracle, base_set, ext_set, spaces):
+    def __init__(self, oracle, base_set, ext_bounds, spaces):
         self.oracle = oracle
         self.base_set = base_set
-        self.ext_set = ext_set
+        self.ext_bounds = ext_bounds
         self.spaces = spaces
+
+    @functools.cached_property
+    def ext_set(self):
+        return frozenset(_lowering_monomials(self.oracle, *self.ext_bounds))
 
     def _drop_of(self, vec):
         drops = {monomial_weight_drop(self.oracle, m) for m in vec}
@@ -327,20 +337,17 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
     o = get_oracle(datum, algebra)
     ext_caps = tuple(c + slack for c in window.exp_caps)
     ext_drop = tuple(c + slack for c in window.drop_cap)
-    ext = _lowering_monomials(o, ext_caps, ext_drop)
-    ext_set = frozenset(ext)
 
     def new_space():
         return RowSpace(char=ev.char, key=lambda mon: (mon in base_set, mon))
 
-    # seeds: unit-coefficient lowering powers just beyond the weight pairing
+    # seeds: unit-coefficient lowering powers just beyond the weight pairing, in
+    # the extension drop cap; raising only lowers drops, so phase 1 tests caps only
     work = []
-    for bidx in range(len(datum.pos_roots)):
+    for bidx, beta in enumerate(datum.pos_roots):
         lb = datum.pairing(lam, bidx)
-        for s in range(lb + 1, lb + slack + 1):
-            m = (lower_dp(bidx, algebra.unit(), s),)
-            if m in ext_set:
-                work.append({m: 1})
+        top = min(lb + slack, *(d // c for d, c in zip(ext_drop, beta) if c))
+        work += [{(lower_dp(bidx, algebra.unit(), s),): 1} for s in range(lb + 1, top + 1)]
 
     # raising sweep generators along simple roots
     gens = []
@@ -370,7 +377,7 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
             w = {}
             for m, c in v.items():
                 vec_add_scaled(w, ev_gm(g, m), c)
-            if w and all(mon in ext_set for mon in w):
+            if w and _inside(ext_caps, w):
                 work.append(w)
 
     # phase 2: close under left multiplication by window lowering monomials.
@@ -378,15 +385,12 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
     # product is itself a vector that dies on w, so no evaluation happens here;
     # in particular the bare seeds enter through the empty left factor.
     # Only blocks inside the base drop cap can cut base monomials, and left
-    # multiplication never lowers the drop, so deeper products are dead weight.
-    # The window monomials are bucketed by drop once, in window order, and a
-    # core row meets only the buckets that keep its total inside the cap; each
-    # target space still sees its inserts in (core row, window) order.
+    # multiplication never lowers the drop, so the left factors are the extension
+    # caps' monomials in the base drop cap, bucketed by drop; a core row meets the
+    # buckets keeping its total in the cap, each space in (row, window) order.
     buckets = {}
-    for lmon in ext:
-        ldrop = monomial_weight_drop(o, lmon)
-        if all(a <= cap for a, cap in zip(ldrop, window.drop_cap)):
-            buckets.setdefault(ldrop, []).append(lmon)
+    for lmon in _lowering_monomials(o, ext_caps, window.drop_cap):
+        buckets.setdefault(monomial_weight_drop(o, lmon), []).append(lmon)
     spaces = {}
     for dr, v in core_rows:
         for ldrop, lmons in buckets.items():
@@ -397,7 +401,7 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
                 w = {}
                 for m, c in v.items():
                     vec_add_scaled(w, _left_product(o, lmon, m), c)
-                if not w or any(mon not in ext_set for mon in w):
+                if not w or not _inside(ext_caps, w):
                     continue
                 sp = spaces.get(tot)
                 if sp is None:
@@ -405,7 +409,7 @@ def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
                     spaces[tot] = sp
                 sp.insert(w)
 
-    return ClosureState(o, base_set, ext_set, spaces)
+    return ClosureState(o, base_set, (ext_caps, ext_drop), spaces)
 
 
 @dataclass

@@ -332,6 +332,22 @@ def test_eval_table_rejects_ambiguous_tables(capsys, tmp_path, typ, obj, named):
     assert code == EXIT_USAGE and not out and named in err
 
 
+@pytest.mark.parametrize("typ, obj, field", [
+    # each of these was truncated by int() and ran, exiting 0
+    ("A1", {"lambda": [2.9], "c": []}, "lambda"),
+    ("A2", {"lambda": [True, 1], "c": []}, "lambda"),
+    ("A1", {"lambda": [2], "c": [{"i": 1.6, "b": "t", "r": 1, "value": "-3"}]}, "i"),
+    ("A1", {"lambda": [2], "c": [{"i": 1, "b": "t", "r": 1.5, "value": "-3"}]}, "r"),
+    ("A1", {"lambda": [2], "c": [{"i": 1, "b": "t", "r": "1", "value": "-3"}]}, "r"),
+    ("A2", {"lambda": [1, 1], "field": {"char": 5.0}, "c": []}, "field.char"),
+], ids=["lambda-float", "lambda-bool", "i-float", "r-float", "r-string", "char-float"])
+def test_eval_table_numbers_must_be_integers(capsys, tmp_path, typ, obj, field):
+    code, out, err = run(capsys, "local-weyl", "--type", typ,
+                         "--eval-table", table_file(tmp_path, obj))
+    assert code == EXIT_USAGE and not out
+    assert f"{field} must be a JSON integer" in err
+
+
 def test_eval_table_lambda_mismatch(capsys, tmp_path):
     path = table_file(tmp_path, {"lambda": [2], "c": []})
     code, _, err = run(capsys, "local-weyl", "--type", "A1", "--lambda", "1",

@@ -32,7 +32,13 @@ from hyperweyl.hyper import (
 from hyperweyl.oracle import CARTAN, LOWER, RAISE, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import RowSpace, reduce_mod_p
-from hyperweyl.weyl import EvalData, _lowering_monomials, default_window, relation_closure
+from hyperweyl.weyl import (
+    EvalData,
+    _inside,
+    _lowering_monomials,
+    default_window,
+    relation_closure,
+)
 
 # small labels and entries, so that random rows are often dependent
 LABELS = st.integers(0, 3)
@@ -356,6 +362,51 @@ def test_window_enumeration_matches_brute_force(window):
     mons = _lowering_monomials(o, caps, drop)
     assert len(mons) == len(set(mons))
     assert set(mons) == brute_force_window(o, caps, drop)
+
+
+def check_window_is_its_bounds(o, caps, drop, smaller_drop):
+    """The closure never builds its extension window: a monomial is in it when
+    its factors pass the exponent caps and its drop is within the drop cap, and
+    enumerating at a smaller drop cap gives the filtered window, in order."""
+    def within(m, cap):
+        return all(a <= c for a, c in zip(monomial_weight_drop(o, m), cap))
+
+    window = _lowering_monomials(o, caps, drop)
+    members = set(window)
+    wider = _lowering_monomials(o, tuple(c + 1 for c in caps), tuple(d + 1 for d in drop))
+    for m in wider:
+        assert (_inside(caps, {m: 1}) and within(m, drop)) == (m in members), m
+    smaller = _lowering_monomials(o, caps, smaller_drop)
+    assert smaller == [m for m in window if within(m, smaller_drop)]
+    return len(smaller), len(window)
+
+
+@SETTINGS
+@given(small_windows(), st.data())
+def test_window_is_its_bounds(window, data):
+    o, caps, drop = window
+    smaller = tuple(data.draw(st.integers(0, d), label="smaller drop") for d in drop)
+    check_window_is_its_bounds(o, caps, drop, smaller)
+
+
+# the extension windows of seven closures, with how many of their monomials
+# lie within the base drop cap, where phase 2 takes its left factors
+@pytest.mark.parametrize("typ, rank, lam, nvars, slack, sizes", [
+    ("A", 1, (3,), 1, 3, (84, 924)),
+    ("A", 2, (1, 1), 1, 2, (174, 4180)),
+    ("D", 4, (1, 0, 0, 0), 0, 2, (131, 9057)),
+    ("A", 1, (2,), 2, 1, (55, 220)),
+    ("A", 2, (2, 0), 1, 2, (160, 3685)),
+    ("A", 2, (1, 1), 0, 2, (14, 55)),
+    ("A", 3, (1, 0, 1), 1, 1, (420, 3226)),
+])
+def test_extension_windows_are_their_bounds(typ, rank, lam, nvars, slack, sizes):
+    datum = build_root_datum(typ, rank)
+    w = default_window(datum, lam, slack)
+    o = get_oracle(datum, CoeffAlgebra("poly", nvars))
+    assert check_window_is_its_bounds(o, tuple(c + slack for c in w.exp_caps),
+                                      tuple(d + slack for d in w.drop_cap),
+                                      w.drop_cap) == sizes
 
 
 # -- the closure: a wider extension window never adds dimensions ----------------

@@ -40,6 +40,7 @@ from hyperweyl.weyl import (
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
+D4 = build_root_datum("D", 4)
 P1 = CoeffAlgebra("poly", 1)
 P2 = CoeffAlgebra("poly", 2)
 
@@ -409,7 +410,11 @@ def row_space_digest(res):
      "8684d5fea3ff4991d0796e4bc0009ddf19022ea364637d065b19ac2b5ff22bfa"),
     (lambda: weyl_module_g(A2, (1, 1), char=3),
      "b095e19e3f97e3f3786aacee845b6d886a62e0348825d424d5182c271c713c06"),
-], ids=["A1-3-char3", "A2-10", "A1-2-points-char5", "g-A2-11-char3"])
+    # the seed bound binds: D4's highest root has a coefficient 2
+    (lambda: weyl_module_g(D4, (1, 0, 0, 0), window=default_window(D4, (1, 0, 0, 0), slack=1),
+                           max_slack=2),
+     "688b44799bdd0005b052c6dce5dc489b30ea9da46e46a988f0cb0fe2d77ed1a1"),
+], ids=["A1-3-char3", "A2-10", "A1-2-points-char5", "g-A2-11-char3", "g-D4-1000"])
 def test_row_spaces_match_the_all_pairs_loop(run, digest):
     assert row_space_digest(run()) == digest
 
@@ -444,6 +449,25 @@ def test_a_second_closure_adds_no_oracle_products(monkeypatch):
         sizes = len(o._chains), len(o._cartan_collects)
         relation_closure(A1, (2,), P1, second)
         assert (len(o._chains), len(o._cartan_collects)) == sizes
+
+
+def test_a_pass_enumerates_only_its_left_factors(monkeypatch):
+    # one enumeration of the base window, one of each pass's left factors at
+    # the base drop cap, and the extension window only when ext_set is read
+    calls = []
+
+    def counting(o, caps, drop_cap):
+        calls.append((tuple(caps), tuple(drop_cap)))
+        return _lowering_monomials(o, caps, drop_cap)
+
+    monkeypatch.setattr("hyperweyl.weyl._lowering_monomials", counting)
+    r = deepening_a1_char3()
+    w = default_window(A1, (3,))
+    ext_caps = [tuple(c + s for c in w.exp_caps) for s in (1, 2, 3)]
+    assert calls == [(w.exp_caps, w.drop_cap)] + [(c, w.drop_cap) for c in ext_caps]
+    ext_drop = tuple(d + 3 for d in w.drop_cap)
+    assert len(r.state.ext_set) == len(r.state.ext_set) == 924
+    assert calls[4:] == [(ext_caps[2], ext_drop)]
 
 
 def test_phase_memos_live_for_the_whole_closure(monkeypatch):
