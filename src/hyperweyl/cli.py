@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .coeffalg import CoeffAlgebra
@@ -165,13 +166,15 @@ def load_eval_table(path, algebra):
 
     Shape: {"lambda": [2], "c": [{"i": 1, "b": "t^2", "r": 1, "value": "3"}],
     "field": {"char": 5}}.  lambda, i, r and char are JSON integers; node index
-    i is 1-based, b parses through the coefficient algebra, value is an integer
-    (decimal string or number); each (i, b, r) appears at most once.
+    i is 1-based, b parses through the coefficient algebra, value is a JSON
+    integer or a string of ASCII digits with an optional sign; each (i, b, r)
+    appears at most once.
     """
-    def integer(name, x):
-        if type(x) is not int:
-            raise TypeError(f"{name} must be a JSON integer, got {json.dumps(x)}")
-        return x
+    def integer(name, x, text=False):
+        if type(x) is int or text and isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+            return int(x)
+        kinds = "a JSON integer or a decimal-integer string" if text else "a JSON integer"
+        raise TypeError(f"{name} must be {kinds}, got {json.dumps(x)}")
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -196,7 +199,7 @@ def load_eval_table(path, algebra):
             if (i, b, r) in c:
                 raise ValueError(f"repeated entry at node {i + 1}, "
                                  f"b {algebra.format(b)}, r {r}")
-            c[(i, b, r)] = int(str(entry["value"]))
+            c[(i, b, r)] = integer("value", entry["value"], text=True)
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"bad eval table entry: {err}")
     return EvalData(lam=lam, char=char, c={key: val for key, val in c.items() if val})

@@ -110,24 +110,9 @@ class CoeffAlgebra:
             exps[idx] += int(m.group(2)) if m.group(2) else 1
         return self.validate(tuple(exps))
 
-    def monomials_of_deg(self, d):
-        """All basis elements of total degree exactly d."""
-        if self.kind == "laurent":
-            return [(0,)] if d == 0 else [(-d,), (d,)]
-        if self.nvars == 0:
-            return [()] if d == 0 else []
-        out = []
-        for cuts in itertools.combinations(range(d + self.nvars - 1), self.nvars - 1):
-            prev, exps = -1, []
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(d + self.nvars - 2 - prev)
-            out.append(tuple(exps))
-        return sorted(out, key=self.key)
-
     def monomials_up_to_deg(self, d):
-        return [b for j in range(d + 1) for b in self.monomials_of_deg(j)]
+        """All basis elements of total degree at most d, in key order."""
+        return [b for b in self.monomials_with_exp_le(d) if self.deg(b) <= d]
 
     def monomials_with_exp_le(self, cap):
         """All basis elements whose exponents are bounded by cap in absolute value."""

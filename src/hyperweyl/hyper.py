@@ -597,31 +597,40 @@ def _check_gAforms_integrality(o, p):
     return rep
 
 
+# id -> (checker, sweep axes with the last varying fastest, case filter or None);
+# a filter sees the limits and one value per axis
 _IDENTITIES = {
-    "basicrel": _check_basicrel,
-    "commutrels1": _check_commutrels1,
-    "commutrels2": _check_commutrels2,
-    "commutrels3": _check_commutrels3,
-    "commutrels4": _check_commutrels4,
-    "commutrels5": _check_commutrels5,
-    "a_k_reduction": _check_a_k_reduction,
-    "gAforms_integrality": _check_gAforms_integrality,
+    "basicrel": (_check_basicrel, ("alpha", "a", "b", "s", "r"),
+                 lambda lim, alpha, a, b, s, r: r <= s),
+    # [g2,g1] = -[g1,g2], so unordered pairs suffice for the degree bound; the
+    # rank-one opposite pair is basicrel territory
+    "commutrels1": (_check_commutrels1, ("alpha", "sign1", "a", "k", "beta", "sign2", "b", "l"),
+                    lambda lim, alpha, s1, a, k, beta, s2, b, l: (
+                        (alpha, s1, a, k) <= (beta, s2, b, l) and l <= lim.kmax
+                        and not (alpha == beta and s1 != s2))),
+    "commutrels2": (_check_commutrels2, ("alpha", "k", "l"), None),
+    "commutrels3": (_check_commutrels3, ("i", "alpha", "sign", "a", "k", "l"), None),
+    "commutrels4": (_check_commutrels4, ("alpha", "sign", "a", "k", "l"), None),
+    "commutrels5": (_check_commutrels5, ("alpha", "a", "b", "r", "k"), None),
+    # a unit coefficient has no series of its own
+    "a_k_reduction": (_check_a_k_reduction, ("i", "a", "k", "r"), lambda lim, i, a, k, r: any(a)),
+    "gAforms_integrality": (_check_gAforms_integrality, (), None),
 }
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
 
-def _identity_checker(which):
-    """The checker of a named identity; ValueError for an unknown id."""
-    fn = _IDENTITIES.get(which)
-    if fn is None:
+def _identity(which):
+    """The table entry of a named identity; ValueError for an unknown id."""
+    entry = _IDENTITIES.get(which)
+    if entry is None:
         raise ValueError(f"unknown identity id {which!r}; known: {', '.join(IDENTITY_IDS)}")
-    return fn
+    return entry
 
 
 def verify_identity(o, which, params):
     """Build both sides of a named straightening identity; report the residual."""
-    rep = _identity_checker(which)(o, params)
+    rep = _identity(which)[0](o, params)
     rep["id"] = which
     return rep
 
@@ -642,81 +651,18 @@ class SweepLimits:
 def identity_cases(o, which, lim):
     """Deterministic parameter sweep for one identity id over one oracle.
 
-    Cases come out sorted by their parameter tuples so reruns print in the
-    same order.
+    Cases run over the identity's axes in table order, the last varying
+    fastest, so reruns print in the same order; each case lists its keys in
+    axis order.
     """
-    _identity_checker(which)
-    A, d = o.algebra, o.datum
-    roots = range(len(d.pos_roots))
-    nodes = range(d.rank)
-    mons = sorted(A.monomials_up_to_deg(lim.adeg))
-    nonunit = [b for b in mons if b != A.unit()]
-    cases = []
-    if which == "basicrel":
-        for alpha in roots:
-            for a in mons:
-                for b in mons:
-                    for s in range(1, lim.smax + 1):
-                        for r in range(1, min(s, lim.rmax) + 1):
-                            cases.append({"alpha": alpha, "a": a, "b": b,
-                                          "r": r, "s": s})
-    elif which == "commutrels1":
-        # [g2,g1] = -[g1,g2], so unordered pairs suffice for the degree bound
-        sides = [(alpha, sign, a, k)
-                 for alpha in roots for sign in "+-"
-                 for a in mons for k in range(1, lim.kmax + 1)]
-        for left in sides:
-            for right in sides:
-                if left > right:
-                    continue
-                alpha, s1, a, k = left
-                beta, s2, b, l = right
-                if alpha == beta and s1 != s2:
-                    continue  # rank-one opposite pair is basicrel territory
-                if l > lim.lmax:
-                    continue
-                cases.append({"alpha": alpha, "beta": beta, "sign1": s1,
-                              "sign2": s2, "a": a, "b": b, "k": k, "l": l})
-    elif which == "commutrels2":
-        for alpha in roots:
-            for k in range(1, lim.kmax + 1):
-                for l in range(1, lim.lmax + 1):
-                    cases.append({"alpha": alpha, "k": k, "l": l})
-    elif which == "commutrels3":
-        for i in nodes:
-            for alpha in roots:
-                for sign in "+-":
-                    for a in mons:
-                        for k in range(1, lim.kmax + 1):
-                            for l in range(1, lim.lmax + 1):
-                                cases.append({"i": i, "alpha": alpha,
-                                              "sign": sign, "a": a,
-                                              "k": k, "l": l})
-    elif which == "commutrels4":
-        for alpha in roots:
-            for sign in "+-":
-                for a in mons:
-                    for k in range(1, lim.kmax + 1):
-                        for l in range(1, lim.lmax + 1):
-                            cases.append({"alpha": alpha, "sign": sign,
-                                          "a": a, "k": k, "l": l})
-    elif which == "commutrels5":
-        for alpha in roots:
-            for a in mons:
-                for b in mons:
-                    for r in range(1, lim.rmax + 1):
-                        for k in range(1, lim.kmax + 1):
-                            cases.append({"alpha": alpha, "a": a, "b": b,
-                                          "r": r, "k": k})
-    elif which == "a_k_reduction":
-        for i in nodes:
-            for a in nonunit:
-                for k in range(1, lim.kmax + 1):
-                    for r in range(1, lim.rmax + 1):
-                        cases.append({"i": i, "a": a, "k": k, "r": r})
-    elif which == "gAforms_integrality":
-        cases.append({"count": lim.count, "seed": lim.seed,
-                      "max_k": min(lim.kmax, 3), "max_deg": min(lim.adeg, 2),
-                      "max_len": 3})
-    return cases
-
+    _checker, axes, keep = _identity(which)
+    if not axes:  # gAforms_integrality: one seeded batch of random products
+        return [{"count": lim.count, "seed": lim.seed, "max_k": min(lim.kmax, 3),
+                 "max_deg": min(lim.adeg, 2), "max_len": 3}]
+    roots, mons = range(len(o.datum.pos_roots)), sorted(o.algebra.monomials_up_to_deg(lim.adeg))
+    values = {"alpha": roots, "beta": roots, "i": range(o.datum.rank), "a": mons, "b": mons,
+              "sign": "+-", "sign1": "+-", "sign2": "+-",
+              "k": range(1, lim.kmax + 1), "l": range(1, lim.lmax + 1),
+              "r": range(1, lim.rmax + 1), "s": range(1, lim.smax + 1)}
+    return [dict(zip(axes, v)) for v in itertools.product(*(values[x] for x in axes))
+            if keep is None or keep(lim, *v)]

@@ -167,7 +167,8 @@ def test_verify_failure_prints_real_sides(capsys, monkeypatch):
     # a checker whose sides differ goes through the real report
     def unequal(o, p):
         return hyper._report(o, p, o.x_minus(0, (1,)), Fraction(1, 2) * o.one())
-    monkeypatch.setitem(hyper._IDENTITIES, "commutrels2", unequal)
+    _checker, axes, keep = hyper._IDENTITIES["commutrels2"]
+    monkeypatch.setitem(hyper._IDENTITIES, "commutrels2", (unequal, axes, keep))
     argv = ("verify", "--id", "commutrels2", "--type", "A1", "--kmax", "1", "--lmax", "1")
     code, out, _ = run(capsys, *argv, "--json")
     assert code == EXIT_FAIL
@@ -346,6 +347,17 @@ def test_eval_table_numbers_must_be_integers(capsys, tmp_path, typ, obj, field):
                          "--eval-table", table_file(tmp_path, obj))
     assert code == EXIT_USAGE and not out
     assert f"{field} must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("value", ["-1_0", " 3", "\u0663"],
+                         ids=["underscore", "space", "arabic-indic-digit"])
+def test_eval_table_value_must_be_a_decimal_integer(capsys, tmp_path, value):
+    # int() read these as -10, 3 and 3, and the table ran, exiting 0
+    obj = {"lambda": [2], "c": [{"i": 1, "b": "t", "r": 1, "value": value}]}
+    code, out, err = run(capsys, "local-weyl", "--type", "A1",
+                         "--eval-table", table_file(tmp_path, obj))
+    assert code == EXIT_USAGE and not out
+    assert "value must be a JSON integer or a decimal-integer string" in err
 
 
 def test_eval_table_lambda_mismatch(capsys, tmp_path):

@@ -81,16 +81,18 @@ def test_spec_string_roundtrip():
 
 def test_monomials_of_deg_counts():
     # stars and bars: C(d + n - 1, n - 1) monomials of degree d in n variables
+    def of_deg(A, d):
+        return [b for b in A.monomials_up_to_deg(d) if A.deg(b) == d]
+
     for n in (1, 2, 3):
         A = CoeffAlgebra("poly", n)
         for d in range(5):
-            mons = list(A.monomials_of_deg(d))
+            mons = of_deg(A, d)
             assert len(mons) == math.comb(d + n - 1, n - 1)
-            assert all(A.deg(b) == d for b in mons)
             assert len(set(mons)) == len(mons)
     L = CoeffAlgebra("laurent", 1)
-    assert sorted(L.monomials_of_deg(2)) == [(-2,), (2,)]
-    assert list(L.monomials_of_deg(0)) == [(0,)]
+    assert sorted(of_deg(L, 2)) == [(-2,), (2,)]
+    assert of_deg(L, 0) == [(0,)]
 
 
 def test_monomials_up_to_deg_sorted_by_key():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ from hyperweyl.coeffalg import CoeffAlgebra
 from hyperweyl.oracle import Oracle, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.hyper import (
+    IDENTITY_IDS,
     NotInZFormError,
     SweepLimits,
     _report,
@@ -550,6 +553,24 @@ def test_verify_identity_a2_cases():
         "alpha": 0, "beta": 1, "a": (1, 0), "b": (0, 1), "k": 2, "l": 2})["pass"]
     assert verify_identity(o, "commutrels5", {
         "alpha": theta, "a": (1, 1), "b": (1, 0), "r": 2, "k": 2})["pass"]
+
+
+def test_identity_case_lists_are_pinned():
+    # every sweep's case list, in order, for five oracles and four limit sets
+    limits = [SweepLimits(),
+              SweepLimits(rmax=2, smax=3, kmax=2, lmax=1, adeg=1, count=7, seed=3),
+              SweepLimits(rmax=1, smax=2, kmax=1, lmax=3, adeg=2, count=5, seed=9),
+              SweepLimits(0, 0, 0, 0, 0, 0, 0)]
+    rows = []
+    for typ, coeff in (("A1", "poly:1"), ("A2", "poly:2"), ("A1", "laurent:1"),
+                       ("D4", "poly:1"), ("A2", "poly:0")):
+        o = get_oracle(build_root_datum(typ[0], int(typ[1:])), CoeffAlgebra.from_spec_string(coeff))
+        for index, lim in enumerate(limits):
+            for which in IDENTITY_IDS:
+                rows.append([typ, coeff, index, which, identity_cases(o, which, lim)])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert sum(len(row[-1]) for row in rows) == 79325
+    assert digest == "a7c2b00ad6b40acaa7e0c2581bff648ac43799a2827d4d8193d3ca99ebd32dd1"
 
 
 def test_gAforms_integrality_check():
