@@ -92,38 +92,6 @@ def monomial_weight_drop(o, m):
     return tuple(drop)
 
 
-# -- truncated u-series over envelope elements --------------------------------
-
-def _series_dp(o, s, dp, n):
-    """Coefficients of u^0..u^n in the dp-th divided power of the series s."""
-    pw = [o.one()] + [o.zero()] * n
-    for _ in range(dp):
-        nxt = [o.zero()] * (n + 1)
-        for i, a in enumerate(pw):
-            if a:
-                for j, b in enumerate(s[:n + 1 - i]):
-                    if b:
-                        nxt[i + j] = nxt[i + j] + a * b
-        pw = nxt
-    scale = Fraction(1, math.factorial(dp))
-    return [scale * c for c in pw]
-
-
-def _memo_series(key, n, grow):
-    """Coefficients of u^0..u^n of the series memoized under key.
-
-    Each series is one list in `_SERIES_CACHE`; grow(coeffs, n) appends the
-    orders len(coeffs)..n.  A truncated coefficient does not depend on where
-    the series is cut, so a longer request only extends the list and keeps
-    the objects it already holds.  Callers share the list and its elements:
-    do not mutate them.
-    """
-    coeffs = _SERIES_CACHE.setdefault(key, [])
-    if len(coeffs) <= n:
-        grow(coeffs, n)
-    return coeffs
-
-
 # -- Cartan series coefficients ------------------------------------------------
 
 def _hvec_elt(o, hvec, b):
@@ -157,20 +125,21 @@ def _check_root(o, alpha):
 
 
 def _lambda_series_coeff(o, hvec, b, r):
+    """One coefficient list per (hvec, b) in `o._lambda_series`; a longer
+    request extends it, since a coefficient does not depend on where the
+    series is cut."""
     if r < 0:
         raise ValueError("series order must be >= 0")
     o.algebra.validate(b)
-
-    def grow(lam, n):
+    lam = o._lambda_series.setdefault((tuple(hvec), b), [o.one()])
+    if len(lam) <= r:
         # Newton's identity m Λ_m = -sum_{s=1..m} x_s Λ_{m-s} with x_s = h ⊗ b^s;
         # the x_s are Cartan elements, so they commute with every Λ_j
-        xs = [None] + [_hvec_elt(o, hvec, o.algebra.pow(b, s)) for s in range(1, n + 1)]
-        for m in range(len(lam), n + 1):
+        xs = [None] + [_hvec_elt(o, hvec, o.algebra.pow(b, s)) for s in range(1, r + 1)]
+        for m in range(len(lam), r + 1):
             terms = (xs[s] * lam[m - s] for s in range(1, m + 1))
-            lam.append(Fraction(-1, m) * sum(terms, o.zero()) if m else o.one())
-
-    key = (o, L_GEN, tuple(hvec), b)
-    return _memo_series(key, r, grow)[r]
+            lam.append(Fraction(-1, m) * sum(terms, o.zero()))
+    return lam[r]
 
 
 def lambda_poly(o, i, a, r):
@@ -227,31 +196,44 @@ def lambda_power_reduction(o, i, a, k, r):
 
 # -- lowering series --------------------------------------------------------
 
+def _series_dp(o, alpha, terms, dp):
+    """Coefficients of u^0..u^n in the dp-th divided power of
+    sum_j c_j (x^-_alpha ⊗ b_j) u^j, where terms[j] = (c_j, b_j) for j = 0..n.
+
+    The letters of one root commute (2 alpha is never a root), so by the
+    multinomial theorem a multiset j_1 <= ... <= j_dp of orders with sum m
+    adds (dp! / prod of multiplicities!) * prod c_j over dp! times the sorted
+    word of its letters to u^m: integer numerators over dp!, and no envelope
+    product.
+    """
+    n = len(terms) - 1
+    letters = [(j, c, o.letter(LOWER, alpha, b)) for j, (c, b) in enumerate(terms) if c]
+    nums = [{} for _ in range(n + 1)]
+    for pick in itertools.combinations_with_replacement(letters, dp):
+        m = sum(j for j, _c, _x in pick)
+        if m > n:
+            continue
+        word = tuple(sorted(x for _j, _c, x in pick))
+        mult = math.factorial(dp) // math.prod(
+            math.factorial(len(tuple(grp))) for _key, grp in itertools.groupby(pick))
+        nums[m][word] = nums[m].get(word, 0) + mult * math.prod(c for _j, c, _x in pick)
+    return [OracleElt(o, {w: c for w, c in num.items() if c}, math.factorial(dp))
+            for num in nums]
+
+
 def xminus_series_dp_coeff(o, alpha, a, b, dp, n):
     """Coefficient of u^n in the dp-th divided power of
-    sum_{j>=0} (x^-_alpha ⊗ a^j b^{j+1}) u^{j+1}.
-
-    The result is memoized per oracle and shared between callers: do not
-    mutate it.
-    """
-    a, b = tuple(a), tuple(b)
-    A = o.algebra
-
-    def grow(coeffs, n):
-        s = [o.zero()] + [o.x_minus(alpha, A.mul(A.pow(a, j), A.pow(b, j + 1)))
-                          for j in range(n)]
-        coeffs.extend(_series_dp(o, s, dp, n)[len(coeffs):])
-
-    return _memo_series((o, F_DP, alpha, a, b, dp), n, grow)[n]
+    sum_{j>=0} (x^-_alpha ⊗ a^j b^{j+1}) u^{j+1}."""
+    _check_root(o, alpha)
+    A, a, b = o.algebra, tuple(a), tuple(b)
+    terms = [(0, A.unit())] + [(1, A.mul(A.pow(a, j), A.pow(b, j + 1))) for j in range(n)]
+    return _series_dp(o, alpha, terms, dp)[n]
 
 
 # -- expansion into the envelope ----------------------------------------------
 
 _GEN_CACHE = {}
 _MON_CACHE = {}
-# Λ-series and x⁻-series, keyed (oracle, L_GEN, ...) and (oracle, F_DP, ...)
-# respectively, without the order; each value is one shared coefficient list
-_SERIES_CACHE = {}
 
 
 def expand_gen(o, g):
@@ -450,10 +432,11 @@ def _check_basicrel(o, p):
     lhs = o.mul_mod_raising(expand_gen(o, raise_dp(alpha, a, r)),
                             expand_gen(o, lower_dp(alpha, b, s)))
     ab = A.mul(a, b)
+    terms = [(0, A.unit())] + [(1, A.mul(A.pow(a, j), A.pow(b, j + 1))) for j in range(s)]
+    dp = _series_dp(o, alpha, terms, s - r)
     rhs = o.zero()
     for j in range(r + 1):
-        term = xminus_series_dp_coeff(o, alpha, a, b, s - r, s - r + j)
-        rhs = rhs + term * lambda_poly_root(o, alpha, ab, r - j)
+        rhs = rhs + dp[s - r + j] * lambda_poly_root(o, alpha, ab, r - j)
     if r % 2:
         rhs = -rhs
     return _report(o, p, lhs, rhs)
@@ -519,8 +502,7 @@ def _check_commutrels5(o, p):
     r, k = p["r"], p["k"]
     A = o.algebra
     lhs = lambda_poly_root(o, alpha, a, r) * expand_gen(o, lower_dp(alpha, b, k))
-    series = [(j + 1) * o.x_minus(alpha, A.mul(A.pow(a, j), b)) for j in range(r + 1)]
-    dp = _series_dp(o, series, k, r)
+    dp = _series_dp(o, alpha, [(j + 1, A.mul(A.pow(a, j), b)) for j in range(r + 1)], k)
     rhs = o.zero()
     for s in range(r + 1):
         rhs = rhs + dp[r - s] * lambda_poly_root(o, alpha, a, s)

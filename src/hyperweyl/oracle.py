@@ -168,6 +168,7 @@ class Oracle:
         # and kept across closures: raising chains on lowering monomials,
         # collected Cartan words, collected products of two lowering monomials
         self._chains, self._cartan_collects, self._left_products = {}, {}, {}
+        self._lambda_series = {}  # hyper's Λ-series coefficient lists per (coroot, coefficient)
 
     # -- letters and constructors -------------------------------------------
 

@@ -26,6 +26,7 @@ from .hyper import (
     E_DP,
     H_BINOM,
     NotInZFormError,
+    _check_root,
     _monomial_of_word,
     collect,
     expand_monomial,
@@ -171,6 +172,7 @@ class _Phase1:
         o = self.o
         chain = o._chains.get((i, b, v))
         if chain is None:
+            _check_root(o, i)
             start = expand_monomial(o, v)  # pure lowering: already raising-free
             chain = o._chains[(i, b, v)] = (
                 o.letter(RAISE, i, b), start.den,
@@ -210,7 +212,8 @@ class _Phase1:
 
 def apply_relations(o, v, g, ev, memo=None):
     """Value on w of the raising power g = E(i,b)^(rho) acting on the lowering
-    monomial v, as a sparse vector; any other gensym raises ValueError.
+    monomial v, as a sparse vector; any other gensym, or a root index outside
+    the positive roots, raises ValueError.
 
     Works modulo the left ideal U·n+, which dies on w; E(i,b)^(rho) * v is e
     times E^(rho-1) * v, e = x+_i ⊗ b, memoized in `memo` (a fresh `_Phase1`

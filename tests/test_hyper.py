@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from hyperweyl import hyper
 from hyperweyl.coeffalg import CoeffAlgebra
-from hyperweyl.oracle import Oracle, get_oracle
+from hyperweyl.oracle import CARTAN, Oracle, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.hyper import (
     IDENTITY_IDS,
@@ -128,6 +129,14 @@ def test_out_of_range_indices_fail_loudly():
         lambda_power_reduction(o, 7, (1,), 2, 1)
     with pytest.raises(ValueError, match="node index -2 "):
         verify_identity(o, "commutrels3", {"i": -2, "alpha": 0, "a": (1,), "k": 1, "l": 1})
+
+
+def test_xminus_series_checks_its_root():
+    # a bad index used to build an element whose letters no root formats
+    o = sl2_oracle()
+    for bad in (1, -1):
+        with pytest.raises(ValueError, match=f"root index {bad} is outside 0..0$"):
+            xminus_series_dp_coeff(o, bad, (1,), (1,), 1, 1)
 
 
 def test_wrong_length_exponents_fail_loudly():
@@ -249,21 +258,84 @@ def test_series_memo_is_exact_and_unaliased():
         for p in identity_cases(o, which, lim):
             assert verify_identity(o, which, p)["pass"], (which, p)
     again = _series_values(o)
-    assert all(again[key] is cached[key] for key in cached if key[-1])
+    # only the Λ-series is memoized; x⁻ divided powers are rebuilt per call
+    assert all(again[key] is cached[key] for key in cached if key[0] != "xminus")
     assert {key: _fields(e) for key, e in cached.items()} == snapshot
 
 
 def test_series_dp_lists_every_coefficient():
     # a truncated divided power does not depend on where it is cut
     o = a2_oracle()
-    t1, t2 = (1, 0), (0, 1)
-    s = [o.one(), o.x_minus(0, t1), 2 * o.x_minus(2, t2), o.h(1, t1) + o.x_minus(1, t2)]
+    t1, t2, t12 = (1, 0), (0, 1), (1, 1)
+    terms = [(1, t12), (2, t1), (0, t2), (-1, (0, 0))]
     for dp in range(4):
         for n in range(4):
-            got = _series_dp(o, s, dp, n)
+            got = _series_dp(o, 2, terms[:n + 1], dp)
             assert len(got) == n + 1
             for j in range(n + 1):
-                assert got[:j + 1] == _series_dp(o, s, dp, j), (dp, n, j)
+                assert got[:j + 1] == _series_dp(o, 2, terms[:j + 1], dp), (dp, n, j)
+
+
+def _series_dp_by_products(o, alpha, terms, dp):
+    """u^0..u^n of (sum_j c_j (x^-_alpha ⊗ b_j) u^j)^dp / dp!, multiplied out
+    with envelope products: the reference for the multinomial closed form."""
+    n = len(terms) - 1
+    s = [c * o.x_minus(alpha, b) for c, b in terms]
+    pw = [o.one()] + [o.zero()] * n
+    for _ in range(dp):
+        nxt = [o.zero()] * (n + 1)
+        for i, x in enumerate(pw):
+            for j, y in enumerate(s[:n + 1 - i]):
+                nxt[i + j] = nxt[i + j] + x * y
+        pw = nxt
+    return [Fraction(1, math.factorial(dp)) * c for c in pw]
+
+
+@pytest.mark.parametrize("rank, alg", [(1, POLY1), (2, POLY2), (1, CoeffAlgebra("laurent", 1))])
+def test_series_dp_matches_envelope_products(rank, alg):
+    o = Oracle(build_root_datum("A", rank), alg)
+    mons = sorted(alg.monomials_up_to_deg(2), key=lambda b: (alg.deg(b), b))
+    unit, top = alg.unit(), mons[-1]
+    series = [
+        # c_0 != 0, a zero c_j, a repeated letter, letters against j order
+        [(2, top), (0, mons[1]), (1, unit), (-3, mons[1]), (1, top)],
+        # one letter at several orders: a = b = 1
+        [(0, unit)] + [(1, unit)] * 4,
+        # basicrel's and commutrels5's series at a = t, b = t
+        [(0, unit)] + [(1, alg.mul(alg.pow(mons[1], j), alg.pow(mons[1], j + 1)))
+                       for j in range(4)],
+        [(j + 1, alg.mul(alg.pow(mons[1], j), mons[1])) for j in range(5)],
+    ]
+    for alpha in range(len(o.datum.pos_roots)):
+        for terms in series:
+            for dp in range(4):
+                for n in range(5):
+                    want = _series_dp_by_products(o, alpha, terms[:n + 1], dp)
+                    assert _series_dp(o, alpha, terms[:n + 1], dp) == want, (alpha, terms, dp, n)
+
+
+def test_identity_sweeps_build_one_series_per_case(monkeypatch):
+    o = Oracle(a2_oracle().datum, POLY2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _series_dp(*args)
+
+    monkeypatch.setattr(hyper, "_series_dp", counting)
+    for which, count in (("basicrel", 1800), ("commutrels5", 2700)):
+        calls.clear()
+        cases = identity_cases(o, which, SweepLimits())
+        assert len(cases) == count
+        for p in cases:
+            assert verify_identity(o, which, p)["pass"], (which, p)
+        assert len(calls) == count, which
+    assert not hasattr(hyper, "_SERIES_CACHE")
+    # the oracle keeps only Λ lists: one per (coroot, coefficient), Cartan words only
+    assert o._lambda_series
+    for (hvec, b), lam in o._lambda_series.items():
+        assert hvec in o.datum.coroots and b in POLY2.monomials_up_to_deg(6)
+        assert all(letter[0] == CARTAN for e in lam for w in e.terms for letter in w)
 
 
 def _series_exp_reference(o, hvec, b, order):
@@ -308,15 +380,16 @@ def test_series_memo_grows_in_place():
     t1, t2, t12 = (1, 0), (0, 1), (1, 1)
     o, direct = Oracle(datum, POLY2), Oracle(datum, POLY2)
     calls = [
-        lambda o, r: lambda_poly(o, 1, t12, r),
-        lambda o, r: lambda_poly_root(o, 2, t2, r),
-        lambda o, r: xminus_series_dp_coeff(o, 2, t1, t12, 2, r),
-        lambda o, r: xminus_series_dp_coeff(o, 0, t2, (0, 0), 3, r),
+        (True, lambda o, r: lambda_poly(o, 1, t12, r)),
+        (True, lambda o, r: lambda_poly_root(o, 2, t2, r)),
+        # x⁻ divided powers are rebuilt per call, not memoized
+        (False, lambda o, r: xminus_series_dp_coeff(o, 2, t1, t12, 2, r)),
+        (False, lambda o, r: xminus_series_dp_coeff(o, 0, t2, (0, 0), 3, r)),
     ]
-    for call in calls:
+    for memoized, call in calls:
         low = [call(o, r) for r in range(3)]
         top = call(o, 5)
-        assert all(call(o, r) is low[r] for r in range(3))
+        assert not memoized or all(call(o, r) is low[r] for r in range(3))
         # elements of different oracles never compare equal, so compare fields
         assert _fields(top) == _fields(call(direct, 5))
         assert all(_fields(call(o, r)) == _fields(call(direct, r)) for r in range(6))

@@ -252,6 +252,18 @@ def test_apply_relations_rejects_non_raising_gensyms():
             apply_relations(o, (), g, graded((1,)))
 
 
+@pytest.mark.parametrize("datum, lam", [(A1, (1,)), (A2, (1, 1))])
+def test_apply_relations_rejects_bad_root_indices(datum, lam):
+    # checked when a chain is first built: without it an empty v gave {} and
+    # v = f_alpha1 a KeyError from the bracket table
+    o, unit = get_oracle(datum, P1), P1.unit()
+    top = len(datum.pos_roots) - 1
+    for bad in (-1, top + 1):
+        for v in ((), (lower_dp(0, unit, 1),)):
+            with pytest.raises(ValueError, match=f"root index {bad} is outside 0..{top}$"):
+                apply_relations(o, v, raise_dp(bad, unit, 1), graded(lam))
+
+
 def evaluate_on_highest(o, ev, m):
     """Value of a collected basis monomial on w: (lowering monomial, scalar) or None.
 
