@@ -53,9 +53,12 @@ class CoeffAlgebra:
     def validate(self, b):
         if not isinstance(b, tuple) or len(b) != self.nvars:
             raise ValueError(f"{b!r} is not a basis element of {self}")
-        if not all(isinstance(e, int) for e in b):
-            raise ValueError(f"{b!r} has non-integer exponents")
-        if self.kind == "poly" and any(e < 0 for e in b):
+        negative = False  # reported only once every exponent is an integer
+        for e in b:
+            if not isinstance(e, int):
+                raise ValueError(f"{b!r} has non-integer exponents")
+            negative = negative or e < 0
+        if negative and self.kind == "poly":
             raise ValueError(f"{b!r} has negative exponents in a polynomial algebra")
         return b
 

@@ -209,14 +209,21 @@ def _series_dp(o, alpha, terms, dp):
     n = len(terms) - 1
     letters = [(j, c, o.letter(LOWER, alpha, b)) for j, (c, b) in enumerate(terms) if c]
     nums = [{} for _ in range(n + 1)]
-    for pick in itertools.combinations_with_replacement(letters, dp):
-        m = sum(j for j, _c, _x in pick)
-        if m > n:
-            continue
-        word = tuple(sorted(x for _j, _c, x in pick))
-        mult = math.factorial(dp) // math.prod(
-            math.factorial(len(tuple(grp))) for _key, grp in itertools.groupby(pick))
-        nums[m][word] = nums[m].get(word, 0) + mult * math.prod(c for _j, c, _x in pick)
+
+    def extend(pick, start, budget):
+        if len(pick) == dp:
+            word = tuple(sorted(x for _j, _c, x in pick))
+            mult = math.factorial(dp) // math.prod(
+                math.factorial(len(tuple(grp))) for _key, grp in itertools.groupby(pick))
+            num = nums[n - budget]
+            num[word] = num.get(word, 0) + mult * math.prod(c for _j, c, _x in pick)
+            return
+        for i in range(start, len(letters)):  # letters ascend in order j
+            if letters[i][0] * (dp - len(pick)) > budget:
+                break  # no multiset with this letter or a later one fits
+            extend(pick + (letters[i],), i, budget - letters[i][0])
+
+    extend((), 0, n)
     return [OracleElt(o, {w: c for w, c in num.items() if c}, math.factorial(dp))
             for num in nums]
 

@@ -11,7 +11,7 @@ import pytest
 
 from hyperweyl import hyper
 from hyperweyl.coeffalg import CoeffAlgebra
-from hyperweyl.oracle import CARTAN, Oracle, get_oracle
+from hyperweyl.oracle import CARTAN, LOWER, Oracle, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.hyper import (
     IDENTITY_IDS,
@@ -312,6 +312,48 @@ def test_series_dp_matches_envelope_products(rank, alg):
                 for n in range(5):
                     want = _series_dp_by_products(o, alpha, terms[:n + 1], dp)
                     assert _series_dp(o, alpha, terms[:n + 1], dp) == want, (alpha, terms, dp, n)
+
+
+def _series_dp_by_all_multisets(o, alpha, terms, dp):
+    """The closed form over every size-dp multiset of nonzero orders, dropping
+    those whose orders sum past n: the reference for the budgeted enumeration."""
+    n = len(terms) - 1
+    letters = [(j, c, o.letter(LOWER, alpha, b)) for j, (c, b) in enumerate(terms) if c]
+    nums = [{} for _ in range(n + 1)]
+    for pick in itertools.combinations_with_replacement(letters, dp):
+        m = sum(j for j, _c, _x in pick)
+        if m > n:
+            continue
+        word = tuple(sorted(x for _j, _c, x in pick))
+        mult = math.factorial(dp) // math.prod(
+            math.factorial(len(tuple(grp))) for _key, grp in itertools.groupby(pick))
+        nums[m][word] = nums[m].get(word, 0) + mult * math.prod(c for _j, c, _x in pick)
+    return [OracleElt(o, {w: c for w, c in num.items() if c}, math.factorial(dp))
+            for num in nums]
+
+
+@pytest.mark.parametrize("rank, alg", [(1, POLY1), (2, POLY2), (1, CoeffAlgebra("laurent", 1))])
+def test_series_dp_builds_the_multisets_of_the_full_loop(rank, alg):
+    o = Oracle(build_root_datum("A", rank), alg)
+    mons = sorted(alg.monomials_up_to_deg(2), key=lambda b: (alg.deg(b), b))
+    rng = random.Random(5)
+    series = [
+        # c_0 != 0 and zero c_j between nonzero ones
+        [(3, mons[1]), (0, mons[0]), (2, mons[-1]), (0, mons[1]), (-1, mons[0]), (0, mons[-1]),
+         (1, mons[1])],
+        # c_0 = 0, every later order present (basicrel's shape)
+        [(0, mons[0])] + [(1, mons[j % len(mons)]) for j in range(6)],
+        # only the top order is nonzero: every kept multiset meets the budget exactly
+        [(0, mons[0])] * 6 + [(5, mons[-1])],
+    ] + [[(rng.choice((0, 0, 1, -2, 3)), rng.choice(mons)) for _ in range(7)] for _ in range(4)]
+    for alpha in range(len(o.datum.pos_roots)):
+        for terms in series:
+            for dp in range(5):
+                for n in range(7):
+                    got = _series_dp(o, alpha, terms[:n + 1], dp)
+                    want = _series_dp_by_all_multisets(o, alpha, terms[:n + 1], dp)
+                    assert ([(e.den, list(e.terms.items())) for e in got]
+                            == [(e.den, list(e.terms.items())) for e in want]), (terms, dp, n)
 
 
 def test_identity_sweeps_build_one_series_per_case(monkeypatch):

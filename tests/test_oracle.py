@@ -7,7 +7,7 @@ import pytest
 
 from hyperweyl.coeffalg import TRIVIAL, CoeffAlgebra
 from hyperweyl.hyper import collect, lower_dp, monomial_adeg, monomial_weight_drop, raise_dp
-from hyperweyl.oracle import CARTAN, LOWER, RAISE, ChevalleyTable, get_oracle
+from hyperweyl.oracle import CARTAN, LOWER, RAISE, ChevalleyTable, Oracle, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 
 POLY1 = CoeffAlgebra("poly", 1)
@@ -264,3 +264,85 @@ def test_format_elt():
     s = o.format_elt(o.x_minus(0, (2,)) + o.h(0, (0,)))
     assert "f(a1,t^2)" in s and "h1(1)" in s
     assert o.format_elt(o.zero()) == "0"
+
+
+# -- products of words already in PBW order -------------------------------------
+
+
+def test_equal_letters_concatenate_into_one_word():
+    # w1[-1] == w2[0]: the product is the one word w1 + w2, coefficients multiplied
+    o = _sl2()
+    f1, ft, h = o.letter(LOWER, 0, (0,)), o.letter(LOWER, 0, (1,)), o.letter(CARTAN, 0, (0,))
+    x = OracleElt(o, {(f1, ft): 2}, 3)
+    y = OracleElt(o, {(ft, h): 5})
+    assert ((x * y).terms, (x * y).den) == ({(f1, ft, ft, h): 10}, 3)
+    f = o.x_minus(0, (1,))
+    assert (f * f).terms == {(ft, ft): 1}
+    assert ((2 * f) * (f * f)).terms == {(ft, ft, ft): 2}
+
+
+def test_concatenation_follows_pbw_order_not_exponent_order():
+    # t1 sorts before t2^2 (degree first) though (0, 2) < (1, 0) as tuples
+    o = get_oracle(build_root_datum("A", 2), CoeffAlgebra("poly", 2))
+    for block, idx in ((LOWER, 2), (CARTAN, 1), (RAISE, 0)):
+        lo, hi = o.letter(block, idx, (1, 0)), o.letter(block, idx, (0, 2))
+        x, y = OracleElt(o, {(lo,): 1}), OracleElt(o, {(hi,): 1})
+        assert (x * y).terms == {(lo, hi): 1}
+        assert y * x == o.nf_word((hi, lo))
+        assert (y * x).terms[(lo, hi)] == 1
+
+
+def test_empty_right_word_still_drops_a_raising_left_word():
+    # e * 1 ends in a raising letter and lies in U·n+: only h survives
+    o = _sl2()
+    e, h = o.x_plus(0, (0,)), o.h(0, (0,))
+    assert o.mul_mod_raising(e + h, o.one()) == h
+    # e (2 + f_t) = 2 e + f_t e + h_t, and only h_t is raising-free
+    assert o.mul_mod_raising(e, 2 * o.one() + o.x_minus(0, (1,))) == o.h(0, (1,))
+    assert (e + h) * o.one() == e + h
+
+
+def test_descending_pair_keeps_its_cartan_term():
+    o = _sl2()
+    e, f, h = o.x_plus(0, (1,)), o.x_minus(0, (2,)), o.h(0, (3,))
+    ew, fw = o.letter(RAISE, 0, (1,)), o.letter(LOWER, 0, (2,))
+    assert (e * f).terms == {(fw, ew): 1, (o.letter(CARTAN, 0, (3,)),): 1}
+    assert e * f == f * e + h
+    assert (f * e).terms == {(fw, ew): 1}
+
+
+def test_mixed_right_factor_is_the_sum_of_its_word_products():
+    # left words against right words that concatenate, fold, or are empty
+    o = get_oracle(build_root_datum("A", 2), POLY1)
+    f0, h1, e1 = o.letter(LOWER, 0, (1,)), o.letter(CARTAN, 1, (0,)), o.letter(RAISE, 1, (1,))
+    f2 = o.letter(LOWER, 2, (0,))
+    left = OracleElt(o, {(f0, h1): 3, (f2,): -1, (): 2}, 5)
+    words = [(), (f0,), (f2, h1), (h1, e1), (f0, f2, e1), (e1,)]
+    right = OracleElt(o, {w: i + 1 for i, w in enumerate(words)}, 7)
+    for mul in (Oracle.mul, Oracle.mul_mod_raising):
+        want = sum((Fraction(i + 1, 7) * mul(o, left, OracleElt(o, {w: 1}))
+                    for i, w in enumerate(words)), o.zero())
+        assert mul(o, left, right) == want, mul
+    # each one-word product is the normal form of the concatenation
+    for w1 in left.terms:
+        for w2 in words:
+            assert OracleElt(o, {w1: 1}) * OracleElt(o, {w2: 1}) == o.nf_word(w1 + w2)
+
+
+def test_product_leaves_its_factors_and_the_insert_cache_alone():
+    o = Oracle(build_root_datum("A", 2), POLY1)
+    f, h, e = o.letter(LOWER, 1, (0,)), o.letter(CARTAN, 0, (1,)), o.letter(RAISE, 0, (0,))
+    x = OracleElt(o, {(e,): 2, (h, e): -1, (f,): 1})
+    y = OracleElt(o, {(f,): 1, (f, h): 3, (e,): 1, (): -2})
+    first = x * y
+    y_terms = dict(y.terms)
+    cache = {k: dict(v) for k, v in o._insert_cache.items()}
+    assert cache  # the product went through cached insertions
+    assert x * y == first
+    # new insertions that start from cached ones leave those as they were:
+    # e into (f0, f, h) commutes past f0 and folds f0 into the cached e (f, h)
+    f0 = OracleElt(o, {(o.letter(LOWER, 0, (0,)),): 1})
+    x * (f0 * y)
+    o.mul_mod_raising(x, f0 * y)
+    assert y.terms == y_terms
+    assert {k: o._insert_cache[k] for k in cache} == cache
