@@ -250,8 +250,7 @@ def expand_gen(o, g):
     if got is not None:
         return got
     kind, idx, exps, k = g
-    if kind in (F_DP, E_DP):
-        _check_root(o, idx)
+    if kind in (F_DP, E_DP):  # the letter checks the root index
         letter = o.letter(LOWER if kind == F_DP else RAISE, idx, exps)
         out = OracleElt(o, {(letter,) * k: 1}, math.factorial(k))
     elif kind == H_BINOM:
@@ -285,7 +284,7 @@ def _monomial_of_word(o, w):
     gens = []
     for letter, grp in itertools.groupby(w):
         k = len(tuple(grp))
-        block, idx, _deg, exps = letter
+        block, idx, _deg, exps = o.letter_fields(letter)
         if block == LOWER:
             gens.append((F_DP, idx, exps, k))
         elif block == RAISE:
@@ -586,23 +585,27 @@ def _check_gAforms_integrality(o, p):
     return rep
 
 
-# id -> (checker, sweep axes with the last varying fastest, case filter or None);
-# a filter sees the limits and one value per axis
+# id -> (checker, sweep axes with the last varying fastest, axis filters or None);
+# the filter of an axis sees the limits, the case so far (the earlier axes) and
+# one value of its axis, so a rejected prefix is never extended
 _IDENTITIES = {
     "basicrel": (_check_basicrel, ("alpha", "a", "b", "s", "r"),
-                 lambda lim, alpha, a, b, s, r: r <= s),
-    # [g2,g1] = -[g1,g2], so unordered pairs suffice for the degree bound; the
-    # rank-one opposite pair is basicrel territory
+                 {"r": lambda lim, c, r: r <= c["s"]}),
+    # [g2,g1] = -[g1,g2], so ordered pairs of sides (alpha, sign1, a, k) <=
+    # (beta, sign2, b, l) suffice for the degree bound, each filter the pair
+    # order cut at its axis; the rank-one opposite pair is basicrel territory
     "commutrels1": (_check_commutrels1, ("alpha", "sign1", "a", "k", "beta", "sign2", "b", "l"),
-                    lambda lim, alpha, s1, a, k, beta, s2, b, l: (
-                        (alpha, s1, a, k) <= (beta, s2, b, l) and l <= lim.kmax
-                        and not (alpha == beta and s1 != s2))),
+                    {"beta": lambda lim, c, beta: beta >= c["alpha"],
+                     "sign2": lambda lim, c, s2: c["beta"] != c["alpha"] or s2 == c["sign1"],
+                     "b": lambda lim, c, b: c["beta"] != c["alpha"] or b >= c["a"],
+                     "l": lambda lim, c, l: l <= lim.kmax and (
+                         c["beta"] != c["alpha"] or c["b"] != c["a"] or l >= c["k"])}),
     "commutrels2": (_check_commutrels2, ("alpha", "k", "l"), None),
     "commutrels3": (_check_commutrels3, ("i", "alpha", "sign", "a", "k", "l"), None),
     "commutrels4": (_check_commutrels4, ("alpha", "sign", "a", "k", "l"), None),
     "commutrels5": (_check_commutrels5, ("alpha", "a", "b", "r", "k"), None),
     # a unit coefficient has no series of its own
-    "a_k_reduction": (_check_a_k_reduction, ("i", "a", "k", "r"), lambda lim, i, a, k, r: any(a)),
+    "a_k_reduction": (_check_a_k_reduction, ("i", "a", "k", "r"), {"a": lambda lim, c, a: any(a)}),
     "gAforms_integrality": (_check_gAforms_integrality, (), None),
 }
 
@@ -644,7 +647,7 @@ def identity_cases(o, which, lim):
     fastest, so reruns print in the same order; each case lists its keys in
     axis order.
     """
-    _checker, axes, keep = _identity(which)
+    _checker, axes, filters = _identity(which)
     if not axes:  # gAforms_integrality: one seeded batch of random products
         return [{"count": lim.count, "seed": lim.seed, "max_k": min(lim.kmax, 3),
                  "max_deg": min(lim.adeg, 2), "max_len": 3}]
@@ -653,5 +656,8 @@ def identity_cases(o, which, lim):
               "sign": "+-", "sign1": "+-", "sign2": "+-",
               "k": range(1, lim.kmax + 1), "l": range(1, lim.lmax + 1),
               "r": range(1, lim.rmax + 1), "s": range(1, lim.smax + 1)}
-    return [dict(zip(axes, v)) for v in itertools.product(*(values[x] for x in axes))
-            if keep is None or keep(lim, *v)]
+    cases = [{}]
+    for x in axes:
+        keep = (filters or {}).get(x)
+        cases = [{**c, x: v} for c in cases for v in values[x] if keep is None or keep(lim, c, v)]
+    return cases

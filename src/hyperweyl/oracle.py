@@ -2,14 +2,16 @@
 
 Basis vectors of g are Chevalley generators of a simply-laced type (A, D, E),
 with structure constants read off the root datum; a Lie word is a tuple of
-letters
+letters, each one int (`Oracle.letter`, decoded by `Oracle.letter_fields`)
+packing FIELD_BITS-wide fields, most significant first,
 
-    letter = (block, idx, deg, exps)
+    block, idx, deg, exps
 
 with block 0 = lowering x^-_alpha, 1 = Cartan h_i, 2 = raising x^+_alpha,
-idx the positive-root (or node) index, and exps the coefficient-algebra basis
-element tensored on.  Tuple comparison of letters is exactly the PBW order:
-lowering, then Cartan, then raising, each block by (index, graded basis order).
+idx the positive-root (or node) index, deg the grading degree and exps the
+coefficient-algebra basis element tensored on (Laurent exponents offset by
+2^63).  Integer order of letters is exactly the PBW order: lowering, then
+Cartan, then raising, each block by (index, graded basis order).
 
 Normal form is the naive rewriting x y -> y x + [x, y] applied until every
 word is weakly increasing.  One fold does all of it: `Oracle._fold` inserts
@@ -34,6 +36,7 @@ from fractions import Fraction
 from .scalars import vec_add_scaled
 
 LOWER, CARTAN, RAISE = 0, 1, 2
+FIELD_BITS = 64  # width of each letter field
 
 
 class ChevalleyTable:
@@ -174,12 +177,41 @@ class Oracle:
         # collected Cartan words, collected products of two lowering monomials
         self._chains, self._cartan_collects, self._left_products = {}, {}, {}
         self._lambda_series = {}  # hyper's Λ-series coefficient lists per (coroot, coefficient)
+        self._fields, self._codes = {}, {}  # letter -> (block, idx, deg, exps), and back
+        # the first Cartan and the first raising letter: block tests are compares
+        shift = FIELD_BITS * (2 + algebra.nvars)
+        self.first_cartan, self.first_raising = CARTAN << shift, RAISE << shift
+        self._offset = 1 << (FIELD_BITS - 1) if algebra.kind == "laurent" else 0
 
     # -- letters and constructors -------------------------------------------
 
     def letter(self, block, idx, exps):
+        """The letter of block at root (node) idx tensor exps, one int in PBW order;
+        ValueError for a bad block or index or a field wider than FIELD_BITS."""
         self.algebra.validate(exps)
-        return (block, idx, self.algebra.deg(exps), exps)
+        code = self._codes.get((block, idx, exps)) if isinstance(idx, int) else None
+        if code is None:
+            if block not in (LOWER, CARTAN, RAISE):
+                raise ValueError(f"unknown letter block {block!r}")
+            n = self.datum.rank if block == CARTAN else len(self.datum.pos_roots)
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                raise ValueError(f"{'node' if block == CARTAN else 'root'} index {idx} "
+                                 f"is outside 0..{n - 1}")
+            deg = self.algebra.deg(exps)
+            fields = (deg, *(e + self._offset for e in exps))
+            if min(fields) < 0 or max(fields) >> FIELD_BITS:
+                raise ValueError(f"coefficient {self.algebra.format(exps)} does not fit "
+                                 f"the {FIELD_BITS}-bit letter fields")
+            code = block << FIELD_BITS | idx
+            for f in fields:
+                code = code << FIELD_BITS | f
+            self._fields[code] = (block, idx, deg, exps)
+            self._codes[(block, idx, exps)] = code
+        return code
+
+    def letter_fields(self, code):
+        """(block, idx, deg, exps) of a letter made by `letter`."""
+        return self._fields[code]
 
     def zero(self):
         return OracleElt(self, {})
@@ -203,9 +235,10 @@ class Oracle:
         key = (l1, l2)
         got = self._bracket_cache.get(key)
         if got is None:
-            exps = self.algebra.mul(l1[3], l2[3])
+            (b1, i1, _, e1), (b2, i2, _, e2) = self._fields[l1], self._fields[l2]
+            exps = self.algebra.mul(e1, e2)
             got = tuple((self.letter(g[0], g[1], exps), c)
-                        for g, c in self.table.bracket((l1[0], l1[1]), (l2[0], l2[1])))
+                        for g, c in self.table.bracket((b1, i1), (b2, i2)))
             self._bracket_cache[key] = got
         return got
 
@@ -234,9 +267,9 @@ class Oracle:
             for w, c in part.items():
                 # the hottest loop of the package, kept inline: a vec_add_scaled
                 # call per word made local_weyl 0.3% slower in 7 of 8 bench pairs
-                # and identity_sweep no faster.  With x prepended inline and ordered
-                # pairs concatenated in _product, Oracle.mul took 1.37 of 3.73 cProfile
-                # seconds in an identity_sweep child (seed 1), against 1.89 of 4.83
+                # and identity_sweep no faster.  With int letters Oracle.mul took 1.14-1.20
+                # of 3.24-3.43 cProfile s in an identity_sweep child (seed 1; 2 vCPUs,
+                # Python 3.11.7), against 1.28-1.42 of 3.46-3.78 with tuple letters
                 if w and x <= w[0]:
                     wz = (x,) + w
                     s = nxt.get(wz, 0) + c
@@ -265,7 +298,7 @@ class Oracle:
 
     def _insert_mod(self, x, word):
         """Normal form of x * word modulo U·n+, word normal and raising-free."""
-        if x[0] != RAISE:
+        if x < self.first_raising:
             return self._insert(x, word)  # stays raising-free
         if not word:
             return {}
@@ -292,19 +325,19 @@ class Oracle:
 
     def mul_mod_raising(self, e1, e2):
         """e1 * e2 modulo the left ideal U·n+: the raising-free part of e1 * e2."""
-        part = {w: c for w, c in e2.terms.items() if not w or w[-1][0] != RAISE}
+        part = {w: c for w, c in e2.terms.items() if not w or w[-1] < self.first_raising}
         return self._product(self._insert_mod, e1, part, e2.den)
 
     def _product(self, insert, e1, part, den):
         # the fold is linear: each left word goes into the whole right factor.
-        # w1 + w2 is already normal when w1[-1:] <= w2[:1], as for any empty w1;
-        # an empty w2 behind a nonempty w1 is folded, since modulo U·n+ that
-        # drops a w1 ending in a raising letter
+        # w1 + w2 is already normal when w1[-1] <= w2[0]; an empty w1 reads as
+        # -1, below every letter.  An empty w2 behind a nonempty w1 is folded,
+        # since modulo U·n+ that drops a w1 ending in a raising letter
         out = {}
         for w1, c1 in e1.terms.items():
-            last, rest = w1[-1:], {}
+            last, rest = w1[-1] if w1 else -1, {}
             for w2, c2 in part.items():
-                if last <= w2[:1]:
+                if (w2[0] if w2 else -1) >= last:
                     w = w1 + w2
                     s = out.get(w, 0) + c1 * c2
                     if s:
@@ -320,7 +353,7 @@ class Oracle:
     # -- formatting -----------------------------------------------------------
 
     def format_letter(self, l):
-        block, idx, _deg, exps = l
+        block, idx, _deg, exps = self._fields[l]
         b = self.algebra.format(exps)
         if block == CARTAN:
             return f"h{idx + 1}({b})"

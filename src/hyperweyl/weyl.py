@@ -26,7 +26,6 @@ from .hyper import (
     E_DP,
     H_BINOM,
     NotInZFormError,
-    _check_root,
     _monomial_of_word,
     collect,
     expand_monomial,
@@ -35,7 +34,7 @@ from .hyper import (
     monomial_weight_drop,
     raise_dp,
 )
-from .oracle import CARTAN, RAISE, OracleElt, get_oracle
+from .oracle import RAISE, OracleElt, get_oracle
 from .scalars import RowSpace, is_prime, vec_add_scaled
 
 __all__ = [
@@ -147,9 +146,9 @@ class EvalData:
 
 # -- phase 1: raising powers evaluated on the highest-weight vector ---------------
 
-def _split(w):
+def _split(o, w):
     """A raising-free normal word as (lowering head, Cartan tail)."""
-    j = bisect.bisect_left(w, (CARTAN,))
+    j = bisect.bisect_left(w, o.first_cartan)
     return w[:j], w[j:]
 
 
@@ -172,17 +171,16 @@ class _Phase1:
         o = self.o
         chain = o._chains.get((i, b, v))
         if chain is None:
-            _check_root(o, i)
             start = expand_monomial(o, v)  # pure lowering: already raising-free
             chain = o._chains[(i, b, v)] = (
                 o.letter(RAISE, i, b), start.den,
-                [{_split(w): c for w, c in start.terms.items()}])
+                [{_split(o, w): c for w, c in start.terms.items()}])
         x, den, folds = chain
         while len(folds) <= rho:
             nxt = {}
             for (head, tail), c in folds[-1].items():
                 for u, cu in o._insert_mod(x, head).items():
-                    uh, ut = _split(u)
+                    uh, ut = _split(o, u)
                     key = (uh, tuple(sorted(ut + tail)) if ut and tail else ut or tail)
                     nxt[key] = nxt.get(key, 0) + c * cu
             folds.append({key: c for key, c in nxt.items() if c})

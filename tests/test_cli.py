@@ -444,6 +444,11 @@ PSI_12 = "318665857834031151167461"  # a strong pseudoprime to the bases 2..37
      "characteristic must be 0 or prime"),
     (("weyl", "--lambda", "1", "--char", "3317044064679887385961981"),
      "primality is only decided below"),
+    # an exponent one past the 64-bit letter field, and one Laurent exponent
+    # one below the offset field's range
+    (("lambda", "--a", f"t^{2 ** 64}", "--r", "1"), "does not fit the 64-bit letter fields"),
+    (("lambda", "--coeff", "laurent:1", "--a", f"t^{-2 ** 63 - 1}", "--r", "1"),
+     "does not fit the 64-bit letter fields"),
 ])
 def test_usage_error_names_its_cause(capsys, tmp_path, argv, named):
     table = table_file(tmp_path, {"lambda": [1], "c": [], "field": {"char": 5}})

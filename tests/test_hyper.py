@@ -377,7 +377,8 @@ def test_identity_sweeps_build_one_series_per_case(monkeypatch):
     assert o._lambda_series
     for (hvec, b), lam in o._lambda_series.items():
         assert hvec in o.datum.coroots and b in POLY2.monomials_up_to_deg(6)
-        assert all(letter[0] == CARTAN for e in lam for w in e.terms for letter in w)
+        assert all(o.letter_fields(letter)[0] == CARTAN
+                   for e in lam for w in e.terms for letter in w)
 
 
 def _series_exp_reference(o, hvec, b, order):

@@ -52,6 +52,52 @@ def test_letter_order_is_pbw_order():
     assert o.letter(LOWER, 0, one) < o.letter(LOWER, 0, (1,)) < o.letter(LOWER, 1, one)
 
 
+@pytest.mark.parametrize("typ, algebra, max_deg", [
+    ("A2", CoeffAlgebra("poly", 2), 2), ("A1", LAUR, 3), ("D4", POLY1, 2)])
+def test_letter_codes_keep_the_field_order_and_decode(typ, algebra, max_deg):
+    o = get_oracle(build_root_datum(typ[0], int(typ[1:])), algebra)
+    roots, nodes = len(o.datum.pos_roots), o.datum.rank
+    letters = {(block, idx, algebra.deg(b), b): o.letter(block, idx, b)
+               for b in algebra.monomials_up_to_deg(max_deg)
+               for block, count in ((LOWER, roots), (CARTAN, nodes), (RAISE, roots))
+               for idx in range(count)}
+    assert [letters[f] for f in sorted(letters)] == sorted(letters.values())
+    assert all(o.letter_fields(code) == f for f, code in letters.items())
+    # the block thresholds: a letter is Cartan or raising exactly when it reaches them
+    assert all((code >= o.first_cartan) == (f[0] >= CARTAN)
+               and (code >= o.first_raising) == (f[0] == RAISE) for f, code in letters.items())
+    if algebra == LAUR:  # negative exponents below positive ones of equal degree
+        assert o.letter(LOWER, 0, (-2,)) < o.letter(LOWER, 0, (2,)) < o.letter(LOWER, 0, (-3,))
+    if algebra.nvars == 2:  # degree first: t1 before t2^2, though (0, 2) < (1, 0)
+        assert o.letter(LOWER, 0, (1, 0)) < o.letter(LOWER, 0, (0, 2))
+
+
+def test_bad_letters_fail_at_construction():
+    o = _sl2()
+    o.letter(LOWER, 0, (0,))  # a float index fails even when its int letter is made
+    bad = [(lambda: o.letter(7, 0, (0,)), "unknown letter block 7"),
+           (lambda: o.letter(LOWER, -1, (0,)), "root index -1 is outside 0..0"),
+           (lambda: o.letter(LOWER, 0.5, (0,)), "root index 0.5 is outside 0..0"),
+           (lambda: o.letter(LOWER, 0.0, (0,)), "root index 0.0 is outside 0..0"),
+           (lambda: o.letter(CARTAN, 3, (0,)), "node index 3 is outside 0..0"),
+           (lambda: o.h(2, (1,)), "node index 2 is outside 0..0"),
+           (lambda: o.x_minus(3, (1,)), "root index 3 is outside 0..0"),
+           (lambda: o.x_plus(0, (2 ** 64,)), "does not fit the 64-bit letter fields")]
+    p2 = get_oracle(build_root_datum("A", 1), CoeffAlgebra("poly", 2))
+    laurent = get_oracle(build_root_datum("A", 1), LAUR)
+    bad += [(lambda: p2.x_plus(0, (2 ** 63, 2 ** 63)), "does not fit"),  # the degree field
+            (lambda: laurent.x_plus(0, (2 ** 63,)), "does not fit"),
+            (lambda: laurent.x_plus(0, (-2 ** 63 - 1,)), "does not fit")]
+    for make, message in bad:
+        with pytest.raises(ValueError, match=message):
+            make()
+    # the widest exponents that fit still round-trip
+    top = (2 ** 64 - 1,)
+    assert o.letter_fields(o.letter(RAISE, 0, top)) == (RAISE, 0, 2 ** 64 - 1, top)
+    for e in (2 ** 63 - 1, -2 ** 63):
+        assert laurent.letter_fields(laurent.letter(LOWER, 0, (e,)))[3] == (e,)
+
+
 def test_normal_form_fixes_sorted_words():
     o = _sl2()
     w = (o.letter(LOWER, 0, (0,)), o.letter(LOWER, 0, (1,)), o.letter(CARTAN, 0, (0,)))

@@ -264,7 +264,7 @@ def test_collect_round_trips_integer_combinations(o, data):
 def drop_raising(e):
     """The raising-free part of e: normal words with a raising letter end in one."""
     return OracleElt(e.oracle, {w: c for w, c in e.terms.items()
-                                if not w or w[-1][0] != RAISE}, e.den)
+                                if not w or e.oracle.letter_fields(w[-1])[0] != RAISE}, e.den)
 
 
 @pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)
@@ -273,8 +273,8 @@ def drop_raising(e):
 def test_product_modulo_raising_ideal_drops_raising_words(o, data):
     max_deg, max_len = product_draws(o)
     letters = letters_of(o, max_deg)
-    raising = [l for l in letters if l[0] == RAISE]
-    lowering_cartan = [l for l in letters if l[0] != RAISE]
+    raising = [l for l in letters if o.letter_fields(l)[0] == RAISE]
+    lowering_cartan = [l for l in letters if o.letter_fields(l)[0] != RAISE]
     x = data.draw(elements(o, max_deg, max_len), label="e1")
     # e2 always has a word ending in a raising letter, among any others
     head = data.draw(st.lists(st.sampled_from(letters), max_size=max_len - 1), label="head")
@@ -285,7 +285,7 @@ def test_product_modulo_raising_ideal_drops_raising_words(o, data):
     word = tuple(sorted(data.draw(st.lists(st.sampled_from(lowering_cartan), max_size=3),
                                   label="word")))
     z = data.draw(st.sampled_from(lowering_cartan), label="letter")
-    assert all(l[0] != RAISE for w in o._insert(z, word) for l in w)
+    assert all(o.letter_fields(l)[0] != RAISE for w in o._insert(z, word) for l in w)
 
 
 # -- straightening: collect then re-expand is exact on random gensym words ------
