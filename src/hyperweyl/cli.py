@@ -23,7 +23,7 @@ from .hyper import (
     lambda_poly,
     verify_identity,
 )
-from .oracle import get_oracle
+from .oracle import CARTAN, FIELD_BITS, get_oracle
 from .rootdata import build_root_datum, parse_type_string
 from .weyl import (
     EvalData,
@@ -139,6 +139,14 @@ def cmd_lambda(args):
     _require_at_least(args, 0, "upto", "r")
     a = algebra.parse(args.a)
     orders = range(args.upto + 1) if args.upto is not None else [args.r]
+    for r in orders:
+        try:  # order r reads h_i ⊗ a^s for s <= r, a^r the widest
+            o.letter(CARTAN, args.i - 1, algebra.pow(a, r))
+        except ValueError:
+            if r <= 1:
+                raise
+            raise UsageError(f"--a {algebra.format(a)} at order {r}: its power a^{r} "
+                             f"does not fit the {FIELD_BITS}-bit letter fields") from None
     rows = [(r, collect(o, lambda_poly(o, args.i - 1, a, r))) for r in orders]
     if args.json:
         _emit({

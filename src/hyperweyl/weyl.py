@@ -10,7 +10,10 @@ are only applied where their result can lie at or below the weight, and each
 product is straightened modulo the left ideal U·n+ that kills w, dropping a
 word as soon as it ends in a raising letter (such normal words span U·n+).
 Each raising power is one letter times the power below it, and is valued on
-w word by word: only the Cartan tail of a word is ever collected.
+w word by word: only the Cartan tail of a word is ever collected.  In the
+graded case (empty table) the Cartan currents act on w by a ring character
+that kills h_i ⊗ b for b != 1, so a word whose tail holds such a letter is
+dropped as soon as a fold makes it.
 
 All vectors here are dicts mapping pure-lowering monomials to scalars.
 """
@@ -34,7 +37,7 @@ from .hyper import (
     monomial_weight_drop,
     raise_dp,
 )
-from .oracle import RAISE, OracleElt, get_oracle
+from .oracle import CARTAN, RAISE, OracleElt, get_oracle
 from .scalars import RowSpace, is_prime, vec_add_scaled
 
 __all__ = [
@@ -158,21 +161,30 @@ class _Phase1:
 
     What depends only on the oracle outlives the closure in the oracle's
     stores, so even a fresh `_Phase1` reuses them: `o._chains` maps (node,
-    coefficient, v) to the raising letter, the denominator of v and the split
-    numerators of E^rho * v for rho = 0, 1, ... so far, and
-    `o._cartan_collects` maps a Cartan word to its collect."""
+    coefficient, v, graded) to the raising letter, the denominator of v and
+    the split numerators of E^rho * v for rho = 0, 1, ... so far, and
+    `o._cartan_collects` maps a Cartan word to its collect.  A graded chain
+    (empty table) keeps only the terms whose Cartan tail has unit letters:
+    the Cartan currents then act on w by the ring character h_i ⊗ 1 -> λ_i,
+    h_i ⊗ b -> 0 (b != 1), as `chi_binom` and `chi_series` do, so any other
+    tail values 0, and stays dead, since tails only grow along a chain.
+    Graded chains read neither λ nor the characteristic."""
 
     def __init__(self, o, ev):
         self.o, self.ev = o, ev
         self.lowering, self.cartan = {}, {}
+        self.units = None if ev.c else frozenset(
+            o.letter(CARTAN, i, o.algebra.unit()) for i in range(o.datum.rank))
 
     def raising_product(self, i, b, rho, v):
-        """(split numerators, denominator) of E(i,b)^(rho) * v modulo U·n+."""
-        o = self.o
-        chain = o._chains.get((i, b, v))
+        """(split numerators, denominator) of E(i,b)^(rho) * v modulo U·n+,
+        without the terms whose tail values 0 on w when the table is empty."""
+        o, units = self.o, self.units
+        slot = (i, b, v, units is not None)
+        chain = o._chains.get(slot)
         if chain is None:
             start = expand_monomial(o, v)  # pure lowering: already raising-free
-            chain = o._chains[(i, b, v)] = (
+            chain = o._chains[slot] = (
                 o.letter(RAISE, i, b), start.den,
                 [{_split(o, w): c for w, c in start.terms.items()}])
         x, den, folds = chain
@@ -181,6 +193,8 @@ class _Phase1:
             for (head, tail), c in folds[-1].items():
                 for u, cu in o._insert_mod(x, head).items():
                     uh, ut = _split(o, u)
+                    if units is not None and not units.issuperset(ut):
+                        continue
                     key = (uh, tuple(sorted(ut + tail)) if ut and tail else ut or tail)
                     nxt[key] = nxt.get(key, 0) + c * cu
             folds.append({key: c for key, c in nxt.items() if c})

@@ -449,6 +449,11 @@ PSI_12 = "318665857834031151167461"  # a strong pseudoprime to the bases 2..37
     (("lambda", "--a", f"t^{2 ** 64}", "--r", "1"), "does not fit the 64-bit letter fields"),
     (("lambda", "--coeff", "laurent:1", "--a", f"t^{-2 ** 63 - 1}", "--r", "1"),
      "does not fit the 64-bit letter fields"),
+    # an input that fits, whose square (read at order 2) does not: the input
+    # and the order are named, not the square it forms
+    (("lambda", "--a", f"t^{2 ** 64 - 1}", "--upto", "2"),
+     f"error: --a t^{2 ** 64 - 1} at order 2: its power a^2 does not fit the 64-bit "
+     "letter fields\n"),
 ])
 def test_usage_error_names_its_cause(capsys, tmp_path, argv, named):
     table = table_file(tmp_path, {"lambda": [1], "c": [], "field": {"char": 5}})

@@ -18,7 +18,7 @@ from hyperweyl.hyper import (
     quotient_drop_raising,
     raise_dp,
 )
-from hyperweyl.oracle import RAISE, Oracle, OracleElt, get_oracle
+from hyperweyl.oracle import CARTAN, RAISE, Oracle, OracleElt, get_oracle
 from hyperweyl.rootdata import build_root_datum
 from hyperweyl.scalars import vec_add_scaled
 from hyperweyl.weyl import (
@@ -360,6 +360,33 @@ def test_raising_shortcuts_are_exact_over_two_variables():
     check_raising_shortcuts(A1, (1,), P2)
 
 
+@pytest.mark.parametrize("datum,lam,alg", [(A1, (3,), P1), (A1, (2,), P2), (A2, (1, 1), P1)],
+                         ids=["A1-3", "A1-2-poly2", "A2-11"])
+def test_graded_chains_keep_exactly_the_unit_tails(datum, lam, alg):
+    # a graded chain is the table chain for the same (i, b, v) cut to the
+    # terms whose Cartan tail has only unit letters h_j ⊗ 1, term for term,
+    # over the slack-1 window; both kinds live side by side on one oracle
+    o = Oracle(datum, alg)
+    table = _Phase1(o, EvalData(lam=lam, c={(0, (1,) + (0,) * (alg.nvars - 1), 1): 1}))
+    cut = _Phase1(o, graded(lam))
+    units = {o.letter(CARTAN, j, alg.unit()) for j in range(datum.rank)}
+    base = default_window(datum, lam)
+    window = Window(tuple(c + 1 for c in base.exp_caps),
+                    tuple(c + 1 for c in base.drop_cap))
+    dropped = unit_tails = 0
+    for v in spanning_set(datum, lam, alg, window):
+        for i in range(datum.rank):
+            for b in sorted(alg.monomials_up_to_deg(3)):
+                for rho in range(4):
+                    terms, den = table.raising_product(i, b, rho, v)
+                    kept = {key: c for key, c in terms.items() if units.issuperset(key[1])}
+                    assert cut.raising_product(i, b, rho, v) == (kept, den), (i, b, rho, v)
+                    dropped += len(terms) - len(kept)
+                    unit_tails += sum(1 for _head, tail in kept if tail)
+    assert dropped and unit_tails
+    assert {key[3] for key in o._chains} == {False, True}
+
+
 # -- graded local closures -----------------------------------------------------------
 
 def test_local_weyl_a1_dim_and_character():
@@ -446,21 +473,41 @@ def test_row_spaces_do_not_depend_on_earlier_closures(monkeypatch, run, digest):
 
 
 def test_a_second_closure_adds_no_oracle_products(monkeypatch):
-    # chains and Cartan-word collects depend on the oracle alone, so a closure
-    # at the same weight in another characteristic or with another table
-    # finds every one it needs already built
+    # chains and Cartan-word collects depend on the oracle alone, and a chain
+    # on whether the table is empty: a table closure at the same weight with
+    # another table, or a graded one in another characteristic, finds every
+    # one it needs already built, while a graded closure after a table
+    # closure builds its own chains, which keep only the unit Cartan tails
     monkeypatch.setattr("hyperweyl.oracle._ORACLE_CACHE", {})
     o = get_oracle(A1, P1)
-    sizes = (0, 0)
-    for first, second in ((graded((2,), char=5), graded((2,), char=3)),
-                          (EvalData(lam=(2,), c=evaluation_table((2,), [[1, 2]], 64)),
-                           EvalData(lam=(2,), char=5,
-                                    c=evaluation_table((2,), [[3, 7]], 64)))):
-        relation_closure(A1, (2,), P1, first)
-        assert len(o._chains) > sizes[0], "the first closure of a pair builds chains"
-        sizes = len(o._chains), len(o._cartan_collects)
-        relation_closure(A1, (2,), P1, second)
-        assert (len(o._chains), len(o._cartan_collects)) == sizes
+
+    def built(ev):
+        """The chain keys and the number of Cartan-word collects a closure adds."""
+        before = set(o._chains), len(o._cartan_collects)
+        relation_closure(A1, (2,), P1, ev)
+        return set(o._chains) - before[0], len(o._cartan_collects) - before[1]
+
+    new, _ = built(EvalData(lam=(2,), c=evaluation_table((2,), [[1, 2]], 64)))
+    assert new and not any(key[3] for key in new)
+    assert built(EvalData(lam=(2,), char=5, c=evaluation_table((2,), [[3, 7]], 64))) == (set(), 0)
+    new, _ = built(graded((2,), char=5))
+    assert new and all(key[3] for key in new)
+    assert built(graded((2,), char=3)) == (set(), 0)
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("datum,lam", [(A1, (2,)), (A1, (3,)), (A2, (1, 0)), (A2, (1, 1))],
+                         ids=["A1-2", "A1-3", "A2-10", "A2-11"])
+def test_a_zero_table_matches_the_graded_path(datum, lam, char):
+    # a table of one explicit zero takes the table path, whose chains keep
+    # every Cartan tail; the graded path drops the tails that value 0 on w
+    zero = EvalData(lam=lam, char=char, c={(0, (1,), 1): 0})
+    on_table = relation_closure(datum, lam, P1, zero)
+    on_graded = relation_closure(datum, lam, P1, graded(lam, char))
+    assert on_table.eval_name == "table" and on_graded.eval_name == "graded"
+    assert on_table.dimension == on_graded.dimension
+    assert on_table.character == on_graded.character
+    assert row_space_digest(on_table) == row_space_digest(on_graded)
 
 
 def test_a_pass_enumerates_only_its_left_factors(monkeypatch):
