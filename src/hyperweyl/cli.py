@@ -93,12 +93,15 @@ def cmd_verify(args):
     blocks = []
     total = failures = 0
     for which in ids:
-        reports = [verify_identity(o, which, p)
-                   for p in identity_cases(o, which, lim)]
-        bad = [r for r in reports if not r["pass"]]
-        total += len(reports)
+        n, bad = 0, []  # passing reports are counted, not kept
+        for p in identity_cases(o, which, lim):
+            rep = verify_identity(o, which, p)
+            n += 1
+            if not rep["pass"]:
+                bad.append(rep)
+        total += n
         failures += len(bad)
-        blocks.append((which, len(reports), bad))
+        blocks.append((which, n, bad))
     if args.json:
         _emit({
             "type": datum.type_string(),

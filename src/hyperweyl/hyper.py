@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,12 +104,17 @@ def _hvec_elt(o, hvec, b):
 
 
 def _binom_elt(o, hvec, shift, m):
-    """binom(h + shift, m) for h = sum hvec[i] h_i ⊗ 1, as an envelope element."""
-    x = _hvec_elt(o, hvec, o.algebra.unit()) + shift * o.one()
-    acc = o.one()
-    for j in range(m):
-        acc = acc * (x - j * o.one())
-    return Fraction(1, math.factorial(m)) * acc
+    """binom(h + shift, m) for h = sum hvec[i] h_i ⊗ 1, as an envelope element.
+
+    One list per (hvec, shift) in `o._binoms`, extended one order at a time by
+    binom(x, j) = binom(x, j - 1) (x - j + 1) / j.  Shared: do not mutate.
+    """
+    seq = o._binoms.setdefault((tuple(hvec), shift), [o.one()])
+    if len(seq) <= m:
+        x = _hvec_elt(o, hvec, o.algebra.unit()) + shift * o.one()
+        for j in range(len(seq), m + 1):
+            seq.append(Fraction(1, j) * (seq[-1] * (x - (j - 1) * o.one())))
+    return seq[m]
 
 
 def _simple_coroot(o, i):
@@ -261,12 +267,32 @@ def expand_gen(o, g):
     return out
 
 
+def _dp_factorials(m):
+    """prod k! when every factor of m is a root-vector divided power, else None."""
+    den = 1
+    for kind, _i, _e, k in m:
+        if kind == H_BINOM or kind == L_GEN:
+            return None
+        den *= math.factorial(k)
+    return den
+
+
 def expand_monomial(o, m):
+    """The basis monomial as an envelope element.  One of root-vector divided
+    powers alone is the sorted word of its letters over prod k!, built without
+    a product and not memoized: letters of one root commute (2 alpha is never
+    a root), and across roots the gensym order and the letter order agree."""
     key = (o, m)
     got = _MON_CACHE.get(key)
     if got is None:
-        got = expand_word(o, m)
-        _MON_CACHE[key] = got
+        den = _dp_factorials(m)
+        if den is None:
+            got = _MON_CACHE[key] = expand_word(o, m)
+        else:
+            word = []
+            for g in m:
+                word += next(iter(expand_gen(o, g).terms))  # its one word, (letter,) * k
+            got = OracleElt(o, {tuple(sorted(word)): 1}, den)
     return got
 
 
@@ -301,7 +327,11 @@ _LEAD_CACHE = {}
 
 def _leading_coeff(m):
     """(sign, L): the longest word of expand_monomial(m) has coefficient sign/L,
-    and L, the product of the exponents' factorials, is the expansion's den."""
+    and L, the product of the exponents' factorials, is the expansion's den.
+    Memoized unless m has root-vector factors only, where it is (1, L)."""
+    den = _dp_factorials(m)
+    if den is not None:
+        return 1, den
     got = _LEAD_CACHE.get(m)
     if got is None:
         sign, den = 1, 1
@@ -342,6 +372,9 @@ def collect(o, e):
             if rem:
                 raise NotInZFormError(f"coefficient {Fraction(sc * lead, den)} at "
                                       f"{format_monomial(o, m)} is not an integer")
+            cartan = bisect_left(w, o.first_cartan)
+            if cartan == length or w[cartan] >= o.first_raising:
+                continue  # root vectors only: expand_monomial(o, m) is w alone
             for w2, c2 in expand_monomial(o, m).terms.items():
                 if len(w2) == length:
                     continue  # the leading word itself; cancels exactly

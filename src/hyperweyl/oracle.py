@@ -17,9 +17,11 @@ Normal form is the naive rewriting x y -> y x + [x, y] applied until every
 word is weakly increasing.  One fold does all of it: `Oracle._fold` inserts
 the letters of a word right to left into a sparse combination of normal
 words, and the memoized `_insert` of one letter into a normal word is itself
-a one-letter fold plus bracket terms.  Pairs already in order are not
-folded: a product concatenates normal words w1, w2 with w1[-1] <= w2[0], and
-the fold prepends x <= w[0] in place.  `mul_mod_raising` folds modulo the
+a one-letter fold plus bracket terms.  Only inserts that cost work are
+stored: a letter that commutes with every smaller letter of the word takes
+its sorted place, one word rebuilt on each call.  Pairs already in order are
+not folded: a product concatenates normal words w1, w2 with w1[-1] <= w2[0],
+and the fold prepends x <= w[0] in place.  `mul_mod_raising` folds modulo the
 left ideal U·n+ of raising letters: the normal words ending in a raising
 letter span it, so dropping them after every letter is exact.  Every other
 sparse sum goes through `scalars.vec_add_scaled`.  All structure constants are
@@ -31,6 +33,7 @@ stays in integers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .scalars import vec_add_scaled
@@ -177,11 +180,21 @@ class Oracle:
         # collected Cartan words, collected products of two lowering monomials
         self._chains, self._cartan_collects, self._left_products = {}, {}, {}
         self._lambda_series = {}  # hyper's Λ-series coefficient lists per (coroot, coefficient)
+        self._binoms = {}  # hyper's Cartan binomial lists binom(h + shift, m) per (coroot, shift)
         self._fields, self._codes = {}, {}  # letter -> (block, idx, deg, exps), and back
         # the first Cartan and the first raising letter: block tests are compares
         shift = FIELD_BITS * (2 + algebra.nvars)
         self.first_cartan, self.first_raising = CARTAN << shift, RAISE << shift
         self._offset = 1 << (FIELD_BITS - 1) if algebra.kind == "laurent" else 0
+        # letters commute exactly when their generators do (A has no zero
+        # products); letter >> _gen_shift is the generator block << FIELD_BITS | idx,
+        # and _blockers maps it to the smaller generators it does not commute with
+        self._gen_shift = shift - FIELD_BITS
+        self._blockers = {}
+        for (g1, g2), got in self.table._brackets.items():
+            if got and g2 < g1:
+                self._blockers.setdefault(g1[0] << FIELD_BITS | g1[1], set()).add(
+                    g2[0] << FIELD_BITS | g2[1])
 
     # -- letters and constructors -------------------------------------------
 
@@ -293,7 +306,12 @@ class Oracle:
             return {(x,) + word: 1}
         got = self._insert_cache.get((x, word))
         if got is None:
-            got = self._commute(self._insert, self._insert_cache, x, word)
+            s, p = self._gen_shift, bisect_left(word, x)
+            blockers = self._blockers.get(x >> s)
+            if blockers and any(y >> s in blockers for y in word[:p]):
+                got = self._commute(self._insert, self._insert_cache, x, word)
+            else:  # x commutes past word[:p]: one word, rebuilt rather than stored
+                got = {word[:p] + (x,) + word[p:]: 1}
         return got
 
     def _insert_mod(self, x, word):

@@ -562,6 +562,48 @@ def test_expand_monomial_is_product():
     assert expand_monomial(o, m) == expand_word(o, m)
 
 
+def test_root_vector_monomials_are_their_sorted_word():
+    """Gensyms of one root sort by exponent tuple, letters by degree first:
+    t2^2 = (0, 2) comes before t1 = (1, 0) in the monomial and after it in
+    the word.  Both expand without a product and leave no memo entry."""
+    o = a2_oracle()
+    t1, t2sq = (1, 0), (0, 2)
+    cases = [
+        ordered_monomial([lower_dp(0, t2sq, 1), lower_dp(0, t1, 2)]),
+        ordered_monomial([lower_dp(0, t2sq, 2), lower_dp(2, t1, 1),
+                          raise_dp(1, t2sq, 3), raise_dp(1, t1, 1)]),
+        (),
+    ]
+    assert cases[0][0][2] == t2sq
+    sizes = len(hyper._MON_CACHE), len(hyper._LEAD_CACHE)
+    for m in cases:
+        want = expand_word(o, m)
+        assert expand_monomial(o, m) == want
+        (top,) = want.terms
+        assert hyper._monomial_of_word(o, top) == m
+        sign, den = hyper._leading_coeff(m)
+        assert Fraction(sign, den) == Fraction(want.terms[top], want.den) and den == want.den
+    word = next(iter(expand_monomial(o, cases[0]).terms))
+    assert [o.letter_fields(x)[3] for x in word] == [t1, t1, t2sq]
+    assert (len(hyper._MON_CACHE), len(hyper._LEAD_CACHE)) == sizes
+
+
+def test_cartan_binomials_extend_one_list_per_coroot_and_shift():
+    o = Oracle(a2_oracle().datum, POLY2)
+    unit = POLY2.unit()
+    for hvec in o.datum.coroots:
+        x = sum((c * o.h(i, unit) for i, c in enumerate(hvec) if c), o.zero())
+        for shift in (-3, 0, 2):
+            for m in (3, 1, 4, 0):  # out of order: later requests extend the list
+                want = o.one()
+                for j in range(m):
+                    want = want * (x + (shift - j) * o.one())
+                got = hyper._binom_elt(o, hvec, shift, m)
+                assert got == Fraction(1, math.factorial(m)) * want, (hvec, shift, m)
+    assert set(o._binoms) == {(hvec, s) for hvec in o.datum.coroots for s in (-3, 0, 2)}
+    assert all(len(seq) == 5 for seq in o._binoms.values())
+
+
 # -- text and JSON -----------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperweyl import hyper
 from hyperweyl.coeffalg import CoeffAlgebra
 from hyperweyl.hyper import (
     E_DP,
@@ -22,6 +23,7 @@ from hyperweyl.hyper import (
     NotInZFormError,
     collect,
     expand_monomial,
+    expand_word,
     format_monomial,
     lower_dp,
     monomial_weight_drop,
@@ -237,6 +239,46 @@ def test_normal_form_matches_plain_rewriting(o, data):
     word = data.draw(st.lists(st.sampled_from(letters_of(o)), max_size=4), label="word")
     nf = o.nf_word(word)
     assert nf.den == 1 and nf.terms == ref_nf(o, word)
+
+
+# an insert is stored only when it costs work; D4 brings brackets between
+# roots that type A never pairs
+STORE_ORACLES = (ORACLES[1], get_oracle(build_root_datum("D", 4), CoeffAlgebra("poly", 1)))
+STORE_IDS = ("A2-poly2", "D4-poly1")
+
+
+@pytest.mark.parametrize("o", STORE_ORACLES, ids=STORE_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_insert_matches_plain_rewriting_and_stores_only_work(o, data):
+    letters = letters_of(o, product_draws(o)[0])
+    x = data.draw(st.sampled_from(letters), label="x")
+    word = tuple(sorted(data.draw(st.lists(st.sampled_from(letters), max_size=4), label="word")))
+    commutes = not any(o.bracket_letters(x, y) for y in word if y < x)
+    size = len(o._insert_cache)
+    assert o._insert(x, word) == ref_nf(o, (x,) + word)
+    if commutes:
+        assert len(o._insert_cache) == size
+    else:
+        assert (x, word) in o._insert_cache
+
+
+@pytest.mark.parametrize("o", STORE_ORACLES, ids=STORE_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_root_vector_monomials_expand_without_memo(o, data):
+    mons = o.algebra.monomials_up_to_deg(2)
+    gens = st.tuples(st.sampled_from((F_DP, E_DP)),
+                     st.sampled_from(range(len(o.datum.pos_roots))), st.sampled_from(mons))
+    labelled = data.draw(st.dictionaries(gens, st.integers(1, 3), max_size=4), label="gens")
+    m = ordered_monomial([(kind, idx, exps, k) for (kind, idx, exps), k in labelled.items()])
+    sizes = len(hyper._MON_CACHE), len(hyper._LEAD_CACHE)
+    want = expand_word(o, m)
+    assert expand_monomial(o, m) == want
+    (top,) = want.terms
+    sign, den = hyper._leading_coeff(m)
+    assert Fraction(sign, den) == Fraction(want.terms[top], want.den) and den == want.den
+    assert (len(hyper._MON_CACHE), len(hyper._LEAD_CACHE)) == sizes
 
 
 @pytest.mark.parametrize("o", ORACLES, ids=ORACLE_IDS)
