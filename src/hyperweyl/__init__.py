@@ -16,7 +16,6 @@ from .hyper import (
     collect,
     format_hyper,
     format_monomial,
-    hyper_mul,
     hyper_to_json,
     lambda_gen,
     lambda_poly,
@@ -58,7 +57,6 @@ __all__ = [
     "collect",
     "format_hyper",
     "format_monomial",
-    "hyper_mul",
     "hyper_to_json",
     "lambda_gen",
     "lambda_poly",

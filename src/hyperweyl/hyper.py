@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .oracle import LOWER, RAISE, OracleElt
+from .oracle import CARTAN, LOWER, RAISE, OracleElt
 from .scalars import vec_add_scaled
 
 F_DP, H_BINOM, L_GEN, E_DP = 0, 1, 2, 3
@@ -96,11 +96,7 @@ def monomial_weight_drop(o, m):
 # -- Cartan series coefficients ------------------------------------------------
 
 def _hvec_elt(o, hvec, b):
-    out = o.zero()
-    for i, c in enumerate(hvec):
-        if c:
-            out = out + c * o.h(i, b)
-    return out
+    return OracleElt(o, {(o.letter(CARTAN, i, b),): c for i, c in enumerate(hvec) if c})
 
 
 def _binom_elt(o, hvec, shift, m):
@@ -390,16 +386,6 @@ def collect(o, e):
 def straighten(o, gens):
     """Ordered-basis form of a product of gensyms, with certified integer weights."""
     return collect(o, expand_word(o, gens))
-
-
-def hyper_mul(o, h1, h2):
-    """Product of two basis-form elements, restraightened."""
-    out = {}
-    for m1, c1 in h1.items():
-        e1 = expand_monomial(o, m1)
-        for m2, c2 in h2.items():
-            vec_add_scaled(out, collect(o, e1 * expand_monomial(o, m2)), c1 * c2)
-    return out
 
 
 def quotient_drop_raising(h):

@@ -19,16 +19,16 @@ the letters of a word right to left into a sparse combination of normal
 words, and the memoized `_insert` of one letter into a normal word is itself
 a one-letter fold plus bracket terms.  Only inserts that cost work are
 stored: a letter that commutes with every smaller letter of the word takes
-its sorted place, one word rebuilt on each call.  Pairs already in order are
-not folded: a product concatenates normal words w1, w2 with w1[-1] <= w2[0],
-and the fold prepends x <= w[0] in place.  `mul_mod_raising` folds modulo the
-left ideal U·n+ of raising letters: the normal words ending in a raising
-letter span it, so dropping them after every letter is exact.  Every other
-sparse sum goes through `scalars.vec_add_scaled`.  All structure constants are
-integers, so words carry integer coefficients and rationals enter only through
-divided powers.  An element therefore stores integer numerators over one
-positive common denominator, kept in lowest terms, and every product and sum
-stays in integers.
+its sorted place, one word rebuilt on each call.  Pairs already in order cost
+no work: a product concatenates normal words w1, w2 with w1[-1] <= w2[0], and
+`_insert` prepends a letter x <= w[0] without a memo entry.  `mul_mod_raising`
+folds modulo the left ideal U·n+ of raising letters: the normal words ending
+in a raising letter span it, so dropping them after every letter is exact.
+Every sparse sum goes through `scalars.vec_add_scaled`.  All structure
+constants are integers, so words carry integer coefficients and rationals
+enter only through divided powers.  An element therefore stores integer
+numerators over one positive common denominator, kept in lowest terms, and
+every product and sum stays in integers.
 """
 from __future__ import annotations
 
@@ -278,25 +278,7 @@ class Oracle:
         for x in reversed(word):
             nxt = {}
             for w, c in part.items():
-                # the hottest loop of the package, kept inline: a vec_add_scaled
-                # call per word made local_weyl 0.3% slower in 7 of 8 bench pairs
-                # and identity_sweep no faster.  With int letters Oracle.mul took 1.14-1.20
-                # of 3.24-3.43 cProfile s in an identity_sweep child (seed 1; 2 vCPUs,
-                # Python 3.11.7), against 1.28-1.42 of 3.46-3.78 with tuple letters
-                if w and x <= w[0]:
-                    wz = (x,) + w
-                    s = nxt.get(wz, 0) + c
-                    if s:
-                        nxt[wz] = s
-                    else:
-                        del nxt[wz]
-                    continue
-                for wz, cz in insert(x, w).items():
-                    s = nxt.get(wz, 0) + c * cz
-                    if s:
-                        nxt[wz] = s
-                    else:
-                        del nxt[wz]
+                vec_add_scaled(nxt, insert(x, w), c)
             part = nxt
         return part
 
@@ -353,17 +335,13 @@ class Oracle:
         # since modulo U·n+ that drops a w1 ending in a raising letter
         out = {}
         for w1, c1 in e1.terms.items():
-            last, rest = w1[-1] if w1 else -1, {}
+            last, cat, rest = w1[-1] if w1 else -1, {}, {}
             for w2, c2 in part.items():
                 if (w2[0] if w2 else -1) >= last:
-                    w = w1 + w2
-                    s = out.get(w, 0) + c1 * c2
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
+                    cat[w1 + w2] = c2
                 else:
                     rest[w2] = c2
+            vec_add_scaled(out, cat, c1)
             if rest:
                 vec_add_scaled(out, self._fold(insert, w1, rest), c1)
         return OracleElt(self, out, e1.den * den)

@@ -129,6 +129,8 @@ class EvalData:
         for (i, exps, r), val in self.c.items():
             if not isinstance(val, int):
                 raise ValueError(f"series scalar {val!r} at {(i, exps, r)} is not an int")
+            if not (isinstance(i, int) and isinstance(r, int)):
+                raise ValueError(f"node {i!r} and order {r!r} at {(i, exps, r)} must be ints")
             if not 0 <= i < datum.rank:
                 raise ValueError(f"node {i} out of range")
             algebra.validate(exps)
@@ -347,9 +349,9 @@ def _left_product(o, lmon, m):
     return got
 
 
-def _closure_pass(datum, lam, algebra, ev, window, slack, base_set, ev_gm):
-    """One pass at `slack`; `base_set` and `ev_gm` are the closure's."""
-    o = get_oracle(datum, algebra)
+def _closure_pass(o, lam, ev, window, slack, base_set, ev_gm):
+    """One pass at `slack`; `o`, `base_set` and `ev_gm` are the closure's."""
+    datum, algebra = o.datum, o.algebra
     ext_caps = tuple(c + slack for c in window.exp_caps)
     ext_drop = tuple(c + slack for c in window.drop_cap)
 
@@ -476,6 +478,8 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     if tuple(eval_data.lam) != lam:
         raise ValueError("eval table weight differs from the module weight")
     eval_data.validate(datum, algebra)
+    if not isinstance(max_slack, int):
+        raise ValueError(f"max_slack {max_slack!r} is not an int")
     if max_slack < window.slack:
         raise ValueError(f"max_slack {max_slack} is below the window slack {window.slack}")
 
@@ -485,11 +489,11 @@ def relation_closure(datum, lam, algebra, eval_data=None, window=None, max_slack
     memos = (frozenset(_lowering_monomials(o, window.exp_caps, window.drop_cap)),
              functools.cache(lambda g, m: apply_relations(o, m, g, eval_data, phase1)))
     slack = window.slack
-    state = _closure_pass(datum, lam, algebra, eval_data, window, slack, *memos)
+    state = _closure_pass(o, lam, eval_data, window, slack, *memos)
     dim, char_map = state.dimension_and_character(datum, lam)
     stabilized = False
     while slack < max_slack:
-        probe = _closure_pass(datum, lam, algebra, eval_data, window, slack + 1, *memos)
+        probe = _closure_pass(o, lam, eval_data, window, slack + 1, *memos)
         dim1, ch1 = probe.dimension_and_character(datum, lam)
         if (dim1, ch1) == (dim, char_map):
             stabilized = True

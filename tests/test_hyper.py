@@ -26,7 +26,6 @@ from hyperweyl.hyper import (
     expand_word,
     format_hyper,
     format_monomial,
-    hyper_mul,
     hyper_to_json,
     identity_cases,
     lambda_gen,
@@ -522,18 +521,6 @@ def test_straighten_preserves_bidegree():
         for m in straighten(o, word):
             assert monomial_weight_drop(o, m) == drop
             assert monomial_adeg(o, m) == adeg
-
-
-def test_hyper_mul_matches_word_product_and_associates():
-    o = sl2_oracle()
-    rng = random.Random(31)
-    for _ in range(6):
-        w1 = random_gen_word(o, rng, max_k=2, max_deg=1, max_len=2)
-        w2 = random_gen_word(o, rng, max_k=2, max_deg=1, max_len=2)
-        w3 = random_gen_word(o, rng, max_k=1, max_deg=1, max_len=1)
-        h1, h2, h3 = straighten(o, w1), straighten(o, w2), straighten(o, w3)
-        assert hyper_mul(o, h1, h2) == straighten(o, w1 + w2)
-        assert hyper_mul(o, hyper_mul(o, h1, h2), h3) == hyper_mul(o, h1, hyper_mul(o, h2, h3))
 
 
 def test_quotient_drop_raising():

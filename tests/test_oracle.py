@@ -375,6 +375,18 @@ def test_mixed_right_factor_is_the_sum_of_its_word_products():
             assert OracleElt(o, {w1: 1}) * OracleElt(o, {w2: 1}) == o.nf_word(w1 + w2)
 
 
+def test_a_concatenated_pair_cancels_against_a_folded_one():
+    # (f + h)(h - f) = h^2 - f^2 + 2f over poly:0: f h is concatenated from
+    # f * h with +1 and folded out of h * f = f h - 2f with -1
+    o = get_oracle(build_root_datum("A", 1), CoeffAlgebra("poly", 0))
+    f, h = o.letter(LOWER, 0, ()), o.letter(CARTAN, 0, ())
+    x = OracleElt(o, {(f,): 1, (h,): 1})
+    y = OracleElt(o, {(h,): 1, (f,): -1})
+    for mul in (Oracle.mul, Oracle.mul_mod_raising):
+        got = mul(o, x, y)
+        assert (got.terms, got.den) == ({(h, h): 1, (f, f): -1, (f,): 2}, 1), mul
+
+
 def test_product_leaves_its_factors_and_the_insert_cache_alone():
     o = Oracle(build_root_datum("A", 2), POLY1)
     f, h, e = o.letter(LOWER, 1, (0,)), o.letter(CARTAN, 0, (1,)), o.letter(RAISE, 0, (0,))

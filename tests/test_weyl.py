@@ -156,6 +156,12 @@ def test_max_slack_equal_to_window_slack_runs_one_pass():
     assert r.window.slack == 1 and r.stabilized is False
 
 
+def test_closure_rejects_a_non_int_max_slack():
+    # a max_slack of 2.5 would let the probe pass run at slack 3, above it
+    with pytest.raises(ValueError, match=r"max_slack 2\.5 is not an int"):
+        relation_closure(A1, (2,), P1, max_slack=2.5)
+
+
 def test_stabilized_needs_the_whole_character_to_agree(monkeypatch):
     # the first two passes agree on the dimension but not on the character,
     # so the first pass must not be reported as stabilized
@@ -195,6 +201,18 @@ def test_eval_data_rejects_non_int_scalars(val):
     # these ended in NotInZFormError or a bare TypeError deep inside phase 1
     with pytest.raises(ValueError, match=r"at \(0, \(1,\), 1\) is not an int"):
         relation_closure(A1, (2,), P1, EvalData(lam=(2,), c={(0, (1,), 1): val}))
+
+
+def test_eval_data_rejects_a_non_int_order():
+    # an order of 1.5 is inside 1..2, but no series coefficient reads it
+    with pytest.raises(ValueError, match=r"order 1\.5 at \(0, \(1,\), 1\.5\) must be ints"):
+        relation_closure(A1, (2,), P1, EvalData(lam=(2,), c={(0, (1,), 1.5): 3}))
+
+
+def test_eval_data_rejects_a_non_int_node():
+    # a node of 0.5 is inside the node range, but cannot index the weight
+    with pytest.raises(ValueError, match=r"node 0\.5 and order 1 at \(0\.5, \(1,\), 1\)"):
+        relation_closure(A1, (2,), P1, EvalData(lam=(2,), c={(0.5, (1,), 1): 3}))
 
 
 def test_eval_data_names():
